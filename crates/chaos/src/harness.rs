@@ -33,10 +33,7 @@ use cote_common::failpoint::{self, FaultSpec, FireMode, SiteStats};
 use cote_common::fxhash::fxhash64;
 use cote_common::{ColRef, TableId, TableRef};
 use cote_gateway::{BreakerState, Gateway, GatewayConfig, GatewayCore};
-use cote_net::{
-    EventConfig, EventServer, NetClient, NetClientConfig, NetConfig, NetServer, WireRequest,
-    WireResponse,
-};
+use cote_net::{NetClient, NetClientConfig, NetConfig, NetServer, WireRequest, WireResponse};
 use cote_optimizer::{Mode as OptMode, OptimizerConfig};
 use cote_query::{Query, QueryBlockBuilder};
 use cote_service::{CoteService, ServiceConfig};
@@ -263,14 +260,14 @@ struct Cluster {
     backends: Vec<BackendNode>,
     gateway: Gateway,
     core: Arc<GatewayCore>,
-    front: EventServer,
+    front: NetServer,
     front_addr: SocketAddr,
     n_queries: usize,
 }
 
 impl Cluster {
-    /// Build 2 backends (threaded fronts, scope "backend") and a gateway
-    /// (event-loop front, scope "gateway"). Pooling is disabled on the
+    /// Build 2 backends (scope "backend") and a gateway (scope
+    /// "gateway"). Pooling is disabled on the
     /// gateway so fault-hit counts can't depend on pool state; pooled-conn
     /// staleness has its own pinned test in `cote-gateway`.
     fn start(seed: u64) -> Result<Cluster, String> {
@@ -317,11 +314,11 @@ impl Cluster {
         let core = gateway.handler();
         let listener = std::net::TcpListener::bind("127.0.0.1:0")
             .map_err(|e| format!("bind gateway front: {e}"))?;
-        let front = EventServer::start_with(
+        let front = NetServer::start_with(
             gateway.handler(),
             gateway.registry(),
             listener,
-            EventConfig::from_net(&NetConfig::default()),
+            NetConfig::default(),
         )
         .map_err(|e| format!("start gateway front: {e}"))?;
         failpoint::set_thread_scope("");

@@ -10,10 +10,10 @@
 //! report.
 //!
 //! ```text
-//!  harness client ──▶ gateway (event-loop front, scope "gateway")
+//!  harness client ──▶ gateway (scope "gateway")
 //!       │ serial,          │ ring + breakers + retry budget
 //!       │ paced            ▼
-//!       │            cote serve × 2 (threaded fronts, scope "backend")
+//!       │            cote serve × 2 (scope "backend")
 //!       │                  │ injected resets / corruption / delays / BUSY
 //!       ▼                  ▼
 //!   oracle diff      failpoint registry (seeded, counted)

@@ -37,17 +37,17 @@ USAGE:
                                       capped at B bytes (0 = unlimited) with
                                       a final trace_truncated marker event
   cote serve <workload> [--listen ADDR] [--trace FILE [--trace-max-bytes B]]
-             [--event-loop [--loops N] [--max-conns N]]
+             [--workers N] [--cache N] [--deadline-ms M]
+             [--loops N] [--max-conns N] [--drain-ms M]
                                       estimation daemon driven by stdin
                                       ('metrics [json]' dumps the registry);
                                       --listen also serves the wire protocol
                                       (PING/ESTIMATE/ADMIT/METRICS) and HTTP
                                       (GET /metrics, /healthz, POST /estimate)
-                                      on ADDR (port 0 = ephemeral, printed);
-                                      --event-loop swaps the handler pool for
-                                      the epoll/poll readiness front-end
+                                      on ADDR (port 0 = ephemeral, printed)
   cote gateway --backend ADDR [--backend ADDR ..] [--listen ADDR]
-               [--event-loop] [--vnodes N] [--probe-ms M]
+               [--vnodes N] [--probe-ms M]
+               [--loops N] [--max-conns N] [--drain-ms M]
                                       consistent-hash sharding front: routes
                                       ESTIMATE/ADMIT by statement fingerprint
                                       across cote-serve backends (cache
@@ -63,19 +63,6 @@ USAGE:
                                       fault-free oracle, breakers cycle) and
                                       prints a replayable fingerprint;
                                       nonzero exit on any violation
-  cote bench-service --workload W --rps R [--duration S] [--clients N]
-                     [--workers N] [--cache N] [--deadline-ms M] [--seed S]
-                                      closed-loop service benchmark
-  cote bench-net --workload W --rps R [--duration S] [--clients N]
-                 [--connections N] [--json FILE] [--event-loop]
-                 [--addr HOST:PORT | --listen ADDR] [--handlers N]
-                 [--pending-conns N] [--drain-ms M]
-                                      open-loop benchmark over real TCP
-                                      sockets (self-hosts a server unless
-                                      --addr targets a running one);
-                                      --connections opens that many sockets
-                                      over the run under the --clients
-                                      concurrent-FD budget
   cote bench-par [--tables N] [--threads A,B,..] [--repeat R]
                                       intra-query parallel enumeration bench:
                                       optimize an N-table star (default 12)

@@ -8,10 +8,7 @@
 
 use cote_common::{CoteError, Result};
 use cote_gateway::{Gateway, GatewayConfig};
-use cote_net::{
-    DrainReport, EventConfig, EventServer, FrameError, LineReader, NetConfig, NetServer,
-    MAX_LINE_BYTES,
-};
+use cote_net::{FrameError, LineReader, NetConfig, NetServer, MAX_LINE_BYTES};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::time::Duration;
 
@@ -23,9 +20,6 @@ struct GatewayArgs {
     cfg: GatewayConfig,
     listen: String,
     net: NetConfig,
-    event_loop: bool,
-    loops: usize,
-    max_conns: Option<usize>,
 }
 
 fn resolve(s: &str) -> Result<SocketAddr> {
@@ -39,9 +33,6 @@ fn parse_args(args: &[String]) -> Result<GatewayArgs> {
     let mut cfg = GatewayConfig::default();
     let mut listen = "127.0.0.1:0".to_string();
     let mut net = NetConfig::default();
-    let mut event_loop = false;
-    let mut loops = 2usize;
-    let mut max_conns = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| -> Result<&String> {
@@ -62,70 +53,13 @@ fn parse_args(args: &[String]) -> Result<GatewayArgs> {
                     .map_err(|_| bad("--probe-ms needs milliseconds".into()))?;
                 cfg.probe_interval = Duration::from_millis(ms);
             }
-            "--handlers" => {
-                net.handlers = value("--handlers")?
-                    .parse()
-                    .map_err(|_| bad("--handlers needs an integer".into()))?
-            }
-            "--pending-conns" => {
-                net.pending_conns = value("--pending-conns")?
-                    .parse()
-                    .map_err(|_| bad("--pending-conns needs an integer".into()))?
-            }
-            "--drain-ms" => {
-                let ms: u64 = value("--drain-ms")?
-                    .parse()
-                    .map_err(|_| bad("--drain-ms needs milliseconds".into()))?;
-                net.drain_deadline = Duration::from_millis(ms);
-            }
-            "--event-loop" => event_loop = true,
-            "--loops" => {
-                loops = value("--loops")?
-                    .parse()
-                    .map_err(|_| bad("--loops needs an integer".into()))?
-            }
-            "--max-conns" => {
-                max_conns = Some(
-                    value("--max-conns")?
-                        .parse()
-                        .map_err(|_| bad("--max-conns needs an integer".into()))?,
-                )
-            }
-            other => return Err(bad(format!("unknown flag '{other}'"))),
+            other => crate::serve::net_flag(&mut net, other, value)?,
         }
     }
     if cfg.backends.is_empty() {
         return Err(bad("need at least one --backend HOST:PORT".into()));
     }
-    Ok(GatewayArgs {
-        cfg,
-        listen,
-        net,
-        event_loop,
-        loops: loops.max(1),
-        max_conns,
-    })
-}
-
-enum FrontEnd {
-    Threaded(NetServer),
-    Event(EventServer),
-}
-
-impl FrontEnd {
-    fn local_addr(&self) -> SocketAddr {
-        match self {
-            FrontEnd::Threaded(s) => s.local_addr(),
-            FrontEnd::Event(s) => s.local_addr(),
-        }
-    }
-
-    fn shutdown(self) -> DrainReport {
-        match self {
-            FrontEnd::Threaded(s) => s.shutdown(),
-            FrontEnd::Event(s) => s.shutdown(),
-        }
-    }
+    Ok(GatewayArgs { cfg, listen, net })
 }
 
 /// `cote gateway --backend ADDR [--backend ADDR ..] [--listen ADDR]` —
@@ -136,22 +70,8 @@ pub fn run(args: &[String]) -> Result<()> {
     let gw = Gateway::start(a.cfg);
     let listener =
         TcpListener::bind(&a.listen).map_err(|e| bad(format!("bind {}: {e}", a.listen)))?;
-    let server = if a.event_loop {
-        let mut cfg = EventConfig::from_net(&a.net);
-        cfg.loops = a.loops;
-        if let Some(n) = a.max_conns {
-            cfg.max_conns = n.max(1);
-        }
-        FrontEnd::Event(
-            EventServer::start_with(gw.handler(), gw.registry(), listener, cfg)
-                .map_err(|e| bad(format!("start event server: {e}")))?,
-        )
-    } else {
-        FrontEnd::Threaded(
-            NetServer::start_with(gw.handler(), gw.registry(), listener, a.net)
-                .map_err(|e| bad(format!("start server: {e}")))?,
-        )
-    };
+    let server = NetServer::start_with(gw.handler(), gw.registry(), listener, a.net)
+        .map_err(|e| bad(format!("start server: {e}")))?;
     // Exact line the CI smoke job (and humans) scrape the port from.
     eprintln!("listening on {}", server.local_addr());
     eprintln!(
@@ -221,8 +141,7 @@ mod tests {
         assert_eq!(a.cfg.backends.len(), 2);
         assert_eq!(a.cfg.vnodes, 64);
         assert_eq!(a.cfg.probe_interval, Duration::from_millis(100));
-        assert!(a.event_loop);
-        assert_eq!(a.loops, 1);
+        assert_eq!(a.net.loops, 1);
         assert!(parse_args(&args(&["--backend", "127.0.0.1:7001", "--nope"])).is_err());
     }
 }

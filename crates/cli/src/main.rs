@@ -14,8 +14,6 @@
 //! cote serve <workload> [--listen ADDR]     estimation daemon (stdin + TCP/HTTP)
 //! cote gateway --backend ADDR [..]    consistent-hash front over serve daemons
 //! cote chaos --seed N --scenario S    deterministic fault-injection harness
-//! cote bench-service --workload W --rps R   closed-loop service benchmark
-//! cote bench-net --workload W --rps R       open-loop benchmark over TCP sockets
 //! cote bench-par [--tables N] [--threads A,B] parallel-enumeration speedup bench
 //! cote bench-all [--json]             phase times, plans/sec, cache hit-rate
 //! ```
@@ -42,8 +40,6 @@ fn main() -> ExitCode {
         Some("serve") => serve::serve(&args[1..]),
         Some("gateway") => gateway::run(&args[1..]),
         Some("chaos") => chaos::run(&args[1..]),
-        Some("bench-service") => serve::bench_service(&args[1..]),
-        Some("bench-net") => serve::bench_net(&args[1..]),
         Some("bench-par") => commands::bench_par(&args[1..]),
         Some("bench-all") => commands::bench_all(&args[1..]),
         Some("help") | None => {

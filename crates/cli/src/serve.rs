@@ -1,74 +1,62 @@
-//! `cote serve`, `cote bench-service` and `cote bench-net`: the
-//! daemon-facing subcommands.
+//! `cote serve`: the estimation daemon, on stdin and (with `--listen`) on
+//! the network.
 
 use crate::commands::quick_cote;
 use cote_common::{CoteError, Result};
-use cote_net::{
-    DrainReport, EventConfig, EventServer, FrameError, LineReader, NetBenchConfig, NetClientConfig,
-    NetConfig, NetServer, MAX_LINE_BYTES,
-};
+use cote_net::{FrameError, LineReader, NetConfig, NetServer, MAX_LINE_BYTES};
 use cote_optimizer::OptimizerConfig;
 use cote_query::Query;
 use cote_service::{CoteService, Decision, QueryClass, ServiceConfig};
-use cote_workloads::{by_name, traffic, Workload};
-use std::net::{SocketAddr, ToSocketAddrs};
+use cote_workloads::{by_name, Workload};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Flags shared by the serving subcommands.
 struct ServeArgs {
     workload: Workload,
-    rps: f64,
-    duration: Duration,
-    clients: usize,
-    seed: u64,
     cfg: ServiceConfig,
     net: NetConfig,
     /// `--listen ADDR`: also serve TCP/HTTP on this address.
     listen: Option<String>,
-    /// `--addr HOST:PORT`: bench an already-running server instead of
-    /// self-hosting one.
-    addr: Option<String>,
-    /// `--trace FILE`: write worker span events as JSONL (serve only).
+    /// `--trace FILE`: write span events as JSONL.
     trace: Option<String>,
     /// `--trace-max-bytes B`: cap the trace file (0 = unlimited).
     trace_max_bytes: u64,
-    /// `--event-loop`: serve with the readiness-poller front-end instead
-    /// of the thread-per-connection pool.
-    event_loop: bool,
-    /// `--loops N`: event-loop threads (event-loop mode only).
-    loops: usize,
-    /// `--max-conns N`: open-connection cap override (event-loop mode;
-    /// defaults to handlers + pending-conns).
-    max_conns: Option<usize>,
-    /// `--connections N`: total TCP connections a bench run opens
-    /// (defaults to --clients, i.e. no churn).
-    connections: Option<usize>,
-    /// `--json FILE`: also write the bench report as one JSON object.
-    json: Option<String>,
 }
 
 fn bad(reason: String) -> CoteError {
     CoteError::InvalidQuery { reason }
 }
 
+/// The transport flags `cote serve` and `cote gateway` share; any other
+/// flag is an error.
+pub(crate) fn net_flag<'a>(
+    net: &mut NetConfig,
+    flag: &str,
+    mut value: impl FnMut(&str) -> Result<&'a String>,
+) -> Result<()> {
+    let mut number = |unit: &str| -> Result<usize> {
+        value(flag)?
+            .parse()
+            .map_err(|_| bad(format!("{flag} needs {unit}")))
+    };
+    match flag {
+        "--drain-ms" => net.drain_deadline = Duration::from_millis(number("milliseconds")? as u64),
+        "--loops" => net.loops = number("an integer")?.max(1),
+        "--max-conns" => net.max_conns = number("an integer")?.max(1),
+        // Accepted and ignored: benchmark/src/layers.rs still passes it.
+        "--event-loop" => {}
+        other => return Err(bad(format!("unknown flag '{other}'"))),
+    }
+    Ok(())
+}
+
 fn parse_args(args: &[String]) -> Result<ServeArgs> {
     let mut workload = None;
-    let mut rps = 500.0;
-    let mut duration = Duration::from_secs(3);
-    let mut clients = 8;
-    let mut seed = 42;
     let mut cfg = ServiceConfig::default();
     let mut net = NetConfig::default();
     let mut listen = None;
-    let mut addr = None;
     let mut trace = None;
     let mut trace_max_bytes = 0u64;
-    let mut event_loop = false;
-    let mut loops = 2usize;
-    let mut max_conns = None;
-    let mut connections = None;
-    let mut json = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| -> Result<&String> {
@@ -77,22 +65,6 @@ fn parse_args(args: &[String]) -> Result<ServeArgs> {
         };
         match flag.as_str() {
             "--workload" => workload = Some(by_name(value("--workload")?)?),
-            "--rps" => {
-                rps = value("--rps")?
-                    .parse()
-                    .map_err(|_| bad("--rps needs a number".into()))?
-            }
-            "--duration" => {
-                let secs: f64 = value("--duration")?
-                    .parse()
-                    .map_err(|_| bad("--duration needs seconds".into()))?;
-                duration = Duration::from_secs_f64(secs.max(0.0));
-            }
-            "--clients" => {
-                clients = value("--clients")?
-                    .parse()
-                    .map_err(|_| bad("--clients needs an integer".into()))?
-            }
             "--workers" => {
                 let n: usize = value("--workers")?
                     .parse()
@@ -111,126 +83,27 @@ fn parse_args(args: &[String]) -> Result<ServeArgs> {
                     .map_err(|_| bad("--deadline-ms needs milliseconds".into()))?;
                 cfg.deadline = Duration::from_millis(ms);
             }
-            "--seed" => {
-                seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| bad("--seed needs an integer".into()))?
-            }
             "--listen" => listen = Some(value("--listen")?.clone()),
-            "--addr" => addr = Some(value("--addr")?.clone()),
             "--trace" => trace = Some(value("--trace")?.clone()),
             "--trace-max-bytes" => {
                 trace_max_bytes = value("--trace-max-bytes")?
                     .parse()
                     .map_err(|_| bad("--trace-max-bytes needs a byte count".into()))?
             }
-            "--handlers" => {
-                net.handlers = value("--handlers")?
-                    .parse()
-                    .map_err(|_| bad("--handlers needs an integer".into()))?
-            }
-            "--pending-conns" => {
-                net.pending_conns = value("--pending-conns")?
-                    .parse()
-                    .map_err(|_| bad("--pending-conns needs an integer".into()))?
-            }
-            "--drain-ms" => {
-                let ms: u64 = value("--drain-ms")?
-                    .parse()
-                    .map_err(|_| bad("--drain-ms needs milliseconds".into()))?;
-                net.drain_deadline = Duration::from_millis(ms);
-            }
-            "--event-loop" => event_loop = true,
-            "--loops" => {
-                loops = value("--loops")?
-                    .parse()
-                    .map_err(|_| bad("--loops needs an integer".into()))?
-            }
-            "--max-conns" => {
-                max_conns = Some(
-                    value("--max-conns")?
-                        .parse()
-                        .map_err(|_| bad("--max-conns needs an integer".into()))?,
-                )
-            }
-            "--connections" => {
-                connections = Some(
-                    value("--connections")?
-                        .parse()
-                        .map_err(|_| bad("--connections needs an integer".into()))?,
-                )
-            }
-            "--json" => json = Some(value("--json")?.clone()),
             // Bare first argument doubles as the workload name.
             w if workload.is_none() && !w.starts_with("--") => workload = Some(by_name(w)?),
-            other => return Err(bad(format!("unknown flag '{other}'"))),
+            other => net_flag(&mut net, other, value)?,
         }
     }
     let workload = workload.ok_or_else(|| bad("missing --workload <name>".into()))?;
     Ok(ServeArgs {
         workload,
-        rps,
-        duration,
-        clients: clients.max(1),
-        seed,
         cfg,
         net,
         listen,
-        addr,
         trace,
         trace_max_bytes,
-        event_loop,
-        loops: loops.max(1),
-        max_conns,
-        connections,
-        json,
     })
-}
-
-/// Either serving front-end, behind one start/shutdown surface so `serve`
-/// and `bench-net` treat `--event-loop` as a pure transport swap.
-enum FrontEnd {
-    Threaded(NetServer),
-    Event(EventServer),
-}
-
-impl FrontEnd {
-    fn bind(
-        a: &ServeArgs,
-        svc: Arc<CoteService>,
-        queries: Arc<Vec<Query>>,
-        listen: &str,
-    ) -> Result<FrontEnd> {
-        if a.event_loop {
-            let mut cfg = EventConfig::from_net(&a.net);
-            cfg.loops = a.loops;
-            if let Some(n) = a.max_conns {
-                cfg.max_conns = n.max(1);
-            }
-            let server = EventServer::bind(svc, queries, listen, cfg)
-                .map_err(|e| bad(format!("bind {listen}: {e}")))?;
-            eprintln!("event-loop front-end: {} loops", a.loops);
-            Ok(FrontEnd::Event(server))
-        } else {
-            let server = NetServer::bind(svc, queries, listen, a.net.clone())
-                .map_err(|e| bad(format!("bind {listen}: {e}")))?;
-            Ok(FrontEnd::Threaded(server))
-        }
-    }
-
-    fn local_addr(&self) -> SocketAddr {
-        match self {
-            FrontEnd::Threaded(s) => s.local_addr(),
-            FrontEnd::Event(s) => s.local_addr(),
-        }
-    }
-
-    fn shutdown(self) -> DrainReport {
-        match self {
-            FrontEnd::Threaded(s) => s.shutdown(),
-            FrontEnd::Event(s) => s.shutdown(),
-        }
-    }
 }
 
 fn start_service(w: &Workload, cfg: ServiceConfig) -> Result<CoteService> {
@@ -248,33 +121,6 @@ fn class_of(q: &Query) -> QueryClass {
     QueryClass::from_table_count(q.total_tables())
 }
 
-fn resolve_addr(s: &str) -> Result<SocketAddr> {
-    s.to_socket_addrs()
-        .map_err(|e| bad(format!("cannot resolve '{s}': {e}")))?
-        .next()
-        .ok_or_else(|| bad(format!("'{s}' resolves to no address")))
-}
-
-/// Drain the service, then check the queue-depth gauge accounting: after a
-/// quiesced run it must read zero on every path (completed, shed, expired).
-fn check_gauge_drained(svc: &CoteService) -> Result<()> {
-    if !svc.drain(Duration::from_secs(10)) {
-        return Err(bad(format!(
-            "service did not drain: {} queued, {} in flight",
-            svc.queue_len(),
-            svc.inflight()
-        )));
-    }
-    let depth = svc.metrics().queue_depth.get();
-    if depth != 0 {
-        return Err(bad(format!(
-            "queue-depth gauge leaked: {depth} after drain"
-        )));
-    }
-    eprintln!("queue-depth gauge drained to zero");
-    Ok(())
-}
-
 /// `cote serve <workload> [--listen ADDR] [--trace FILE]` — the daemon.
 ///
 /// stdin drives it interactively: each line is a 1-based query index
@@ -284,12 +130,13 @@ fn check_gauge_drained(svc: &CoteService) -> Result<()> {
 /// registry (Prometheus text / JSON), `quit` (or EOF) exits. With
 /// `--listen ADDR` the same service also answers the wire protocol and
 /// HTTP on that address (`127.0.0.1:0` picks an ephemeral port, printed on
-/// startup). `--trace FILE` streams worker span events as JSONL through
-/// the size-capped writer (`--trace-max-bytes`, 0 = unlimited). Shutdown
+/// startup). `--trace FILE` streams worker and `net_request` span events
+/// as JSONL through the size-capped writer (`--trace-max-bytes`, 0 =
+/// unlimited). Shutdown
 /// gracefully drains network connections and queued estimates, then
 /// writes a final metrics dump (the stdin protocol's stand-in for
-/// dump-on-SIGTERM). Both front-ends read lines through the same
-/// length-capped reader, so no input can allocate unboundedly.
+/// dump-on-SIGTERM). stdin and the network read lines through the same
+/// length-capped splitter, so no input can allocate unboundedly.
 pub fn serve(args: &[String]) -> Result<()> {
     let mut a = parse_args(args)?;
     cote_obs::set_tracing(a.trace.is_some());
@@ -304,21 +151,26 @@ pub fn serve(args: &[String]) -> Result<()> {
     let queries = Arc::new(std::mem::take(&mut a.workload.queries));
     let n = queries.len();
     let mut sink_dropped = 0u64;
-    let mut flush_trace =
-        |svc: &CoteService, tracer: &mut Option<cote_obs::BoundedTraceWriter>| -> Result<()> {
-            if let Some(w) = tracer {
-                let (events, dropped) = svc.take_trace_events();
-                sink_dropped += dropped;
-                for e in &events {
-                    w.write_event(e)
-                        .map_err(|e| bad(format!("writing trace: {e}")))?;
-                }
+    let mut flush_trace = |svc: &CoteService,
+                           server: Option<&NetServer>,
+                           tracer: &mut Option<cote_obs::BoundedTraceWriter>|
+     -> Result<()> {
+        if let Some(w) = tracer {
+            let (mut events, dropped) = svc.take_trace_events();
+            sink_dropped += dropped;
+            events.extend(server.map(NetServer::take_trace_events).unwrap_or_default());
+            for e in &events {
+                w.write_event(e)
+                    .map_err(|e| bad(format!("writing trace: {e}")))?;
             }
-            Ok(())
-        };
+        }
+        Ok(())
+    };
     let server = match &a.listen {
         Some(addr) => {
-            let server = FrontEnd::bind(&a, Arc::clone(&svc), Arc::clone(&queries), addr)?;
+            let server =
+                NetServer::bind(Arc::clone(&svc), Arc::clone(&queries), addr, a.net.clone())
+                    .map_err(|e| bad(format!("bind {addr}: {e}")))?;
             // Exact line the CI smoke job (and humans) scrape the port from.
             eprintln!("listening on {}", server.local_addr());
             Some(server)
@@ -428,17 +280,18 @@ pub fn serve(args: &[String]) -> Result<()> {
                     }
                     Decision::Failed { error } => println!("{}: failed: {error}", q.name),
                 }
-                flush_trace(&svc, &mut tracer)?;
+                flush_trace(&svc, server.as_ref(), &mut tracer)?;
             }
         }
     }
+    flush_trace(&svc, server.as_ref(), &mut tracer)?;
     if let Some(server) = server {
         eprintln!("shutting down: {}", server.shutdown().summary());
     }
     if !svc.drain(Duration::from_secs(5)) {
         eprintln!("warning: service did not fully drain before dump");
     }
-    flush_trace(&svc, &mut tracer)?;
+    flush_trace(&svc, None, &mut tracer)?;
     if let Some(w) = tracer {
         let s = w.finish().map_err(|e| bad(format!("closing trace: {e}")))?;
         eprintln!(
@@ -457,100 +310,6 @@ pub fn serve(args: &[String]) -> Result<()> {
     Ok(())
 }
 
-/// `cote bench-service --workload W --rps R [--duration S] [--clients N]
-/// [--workers N] [--cache N] [--deadline-ms M] [--seed S]` — closed-loop
-/// Poisson replay of a workload against the daemon, then a full report.
-pub fn bench_service(args: &[String]) -> Result<()> {
-    let a = parse_args(args)?;
-    let schedule = traffic::poisson_schedule(a.workload.queries.len(), a.rps, a.duration, a.seed);
-    if schedule.is_empty() {
-        return Err(bad("empty schedule: check --rps and --duration".into()));
-    }
-    let svc = start_service(&a.workload, a.cfg)?;
-    eprintln!(
-        "replaying {} arrivals over {:?} from {} clients (seed {})...",
-        schedule.len(),
-        a.duration,
-        a.clients,
-        a.seed
-    );
-    let arrivals: Vec<(Duration, usize)> = schedule.iter().map(|x| (x.at, x.query_index)).collect();
-    let report = cote_service::replay(&svc, &a.workload.queries, &arrivals, a.clients);
-    println!("── bench-service: {} ──", a.workload.name);
-    print!("{}", report.summary());
-    println!("── service ──");
-    print!("{}", svc.report());
-    println!("statement cache: {}", svc.metrics().cache_stats().render());
-    check_gauge_drained(&svc)
-}
-
-/// `cote bench-net --workload W --rps R [--duration S] [--clients N]
-/// [--addr HOST:PORT | --listen ADDR] [service/net flags]` — open-loop
-/// Poisson replay over real TCP sockets. Without `--addr` it self-hosts a
-/// server on an ephemeral loopback port, benches it, then drains and
-/// verifies the queue-depth gauge returns to zero.
-pub fn bench_net(args: &[String]) -> Result<()> {
-    let mut a = parse_args(args)?;
-    let schedule = traffic::poisson_schedule(a.workload.queries.len(), a.rps, a.duration, a.seed);
-    if schedule.is_empty() {
-        return Err(bad("empty schedule: check --rps and --duration".into()));
-    }
-    // Wire indices are 1-based.
-    let arrivals: Vec<(Duration, usize)> =
-        schedule.iter().map(|x| (x.at, x.query_index + 1)).collect();
-    let bench_cfg = NetBenchConfig {
-        clients: a.clients,
-        connections: a.connections.unwrap_or(a.clients),
-        client: NetClientConfig::default(),
-    };
-    let write_json = |report: &cote_net::NetBenchReport| -> Result<()> {
-        if let Some(path) = &a.json {
-            std::fs::write(path, format!("{}\n", report.json()))
-                .map_err(|e| bad(format!("writing {path}: {e}")))?;
-            eprintln!("json report written to {path}");
-        }
-        Ok(())
-    };
-
-    if let Some(addr) = &a.addr {
-        // Target an already-running `cote serve --listen` (same workload!).
-        let addr = resolve_addr(addr)?;
-        eprintln!(
-            "benching {} arrivals over {:?} against {addr}: {} clients, {} connections...",
-            arrivals.len(),
-            a.duration,
-            bench_cfg.clients,
-            bench_cfg.connections.max(bench_cfg.clients),
-        );
-        let report = cote_net::bench_net(addr, &arrivals, &bench_cfg);
-        println!("── bench-net: {} → {addr} ──", a.workload.name);
-        print!("{}", report.summary());
-        return write_json(&report);
-    }
-
-    let svc = Arc::new(start_service(&a.workload, a.cfg.clone())?);
-    let queries = Arc::new(std::mem::take(&mut a.workload.queries));
-    let listen = a.listen.clone().unwrap_or_else(|| "127.0.0.1:0".into());
-    let server = FrontEnd::bind(&a, Arc::clone(&svc), queries, &listen)?;
-    let addr = server.local_addr();
-    eprintln!(
-        "benching {} arrivals over {:?} against self-hosted {addr}: {} clients, {} connections...",
-        arrivals.len(),
-        a.duration,
-        bench_cfg.clients,
-        bench_cfg.connections.max(bench_cfg.clients),
-    );
-    let report = cote_net::bench_net(addr, &arrivals, &bench_cfg);
-    println!("── bench-net: {} → {addr} ──", a.workload.name);
-    print!("{}", report.summary());
-    write_json(&report)?;
-    eprintln!("shutting down: {}", server.shutdown().summary());
-    println!("── service ──");
-    print!("{}", svc.report());
-    println!("statement cache: {}", svc.metrics().cache_stats().render());
-    check_gauge_drained(&svc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -561,10 +320,8 @@ mod tests {
 
     #[test]
     fn parse_flags_and_positional_workload() {
-        let a = parse_args(&args(&["linear-s", "--rps", "50", "--clients", "2"])).unwrap();
+        let a = parse_args(&args(&["linear-s"])).unwrap();
         assert_eq!(a.workload.name, "linear_s");
-        assert!((a.rps - 50.0).abs() < 1e-9);
-        assert_eq!(a.clients, 2);
         let a = parse_args(&args(&[
             "--workload",
             "star-p",
@@ -574,21 +331,15 @@ mod tests {
             "128",
             "--deadline-ms",
             "10",
-            "--duration",
-            "0.5",
-            "--seed",
-            "9",
         ]))
         .unwrap();
         assert_eq!(a.cfg.workers, 3);
         assert_eq!(a.cfg.cache_capacity, 128);
         assert_eq!(a.cfg.deadline, Duration::from_millis(10));
-        assert_eq!(a.duration, Duration::from_millis(500));
-        assert_eq!(a.seed, 9);
         assert!(parse_args(&args(&[])).is_err());
-        assert!(parse_args(&args(&["--rps", "50"])).is_err());
+        assert!(parse_args(&args(&["--workers", "2"])).is_err());
         assert!(parse_args(&args(&["linear-s", "--nope"])).is_err());
-        assert!(parse_args(&args(&["linear-s", "--rps"])).is_err());
+        assert!(parse_args(&args(&["linear-s", "--workers"])).is_err());
     }
 
     #[test]
@@ -597,121 +348,20 @@ mod tests {
             "linear-s",
             "--listen",
             "127.0.0.1:0",
-            "--handlers",
-            "2",
-            "--pending-conns",
-            "8",
-            "--drain-ms",
-            "750",
-        ]))
-        .unwrap();
-        assert_eq!(a.listen.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(a.net.handlers, 2);
-        assert_eq!(a.net.pending_conns, 8);
-        assert_eq!(a.net.drain_deadline, Duration::from_millis(750));
-        assert!(a.addr.is_none());
-        let a = parse_args(&args(&["linear-s", "--addr", "127.0.0.1:7071"])).unwrap();
-        assert_eq!(a.addr.as_deref(), Some("127.0.0.1:7071"));
-        assert!(parse_args(&args(&["linear-s", "--listen"])).is_err());
-        assert!(resolve_addr("127.0.0.1:7071").is_ok());
-        assert!(resolve_addr("not an address").is_err());
-    }
-
-    #[test]
-    fn bench_service_small_run_prints_report() {
-        // Smoke the whole pipeline at a tiny scale.
-        let a = parse_args(&args(&[
-            "linear-s",
-            "--rps",
-            "200",
-            "--duration",
-            "0.3",
-            "--clients",
-            "2",
-            "--workers",
-            "2",
-        ]))
-        .unwrap();
-        let svc = start_service(&a.workload, a.cfg).unwrap();
-        let schedule =
-            traffic::poisson_schedule(a.workload.queries.len(), a.rps, a.duration, a.seed);
-        let arrivals: Vec<(Duration, usize)> =
-            schedule.iter().map(|x| (x.at, x.query_index)).collect();
-        let r = cote_service::replay(&svc, &a.workload.queries, &arrivals, a.clients);
-        assert_eq!(r.submitted as usize, arrivals.len());
-        assert_eq!(r.admitted + r.shed + r.failed, r.submitted);
-        let report = svc.report();
-        assert!(report.contains("p50"), "{report}");
-        assert!(report.contains("advisor decisions"), "{report}");
-        check_gauge_drained(&svc).unwrap();
-    }
-
-    #[test]
-    fn parse_event_loop_and_bench_flags() {
-        let a = parse_args(&args(&[
-            "linear-s",
-            "--event-loop",
             "--loops",
             "3",
             "--max-conns",
             "99",
-            "--connections",
-            "500",
-            "--json",
-            "/tmp/bench.json",
-        ]))
-        .unwrap();
-        assert!(a.event_loop);
-        assert_eq!(a.loops, 3);
-        assert_eq!(a.max_conns, Some(99));
-        assert_eq!(a.connections, Some(500));
-        assert_eq!(a.json.as_deref(), Some("/tmp/bench.json"));
-        let a = parse_args(&args(&["linear-s"])).unwrap();
-        assert!(!a.event_loop);
-        assert!(a.connections.is_none());
-    }
-
-    #[test]
-    fn bench_net_event_loop_small_run() {
-        // Same end-to-end smoke as the threaded run, through the readiness
-        // poller, with connection churn (more connections than clients).
-        bench_net(&args(&[
-            "linear-s",
-            "--rps",
-            "150",
-            "--duration",
-            "0.3",
-            "--clients",
-            "2",
-            "--workers",
-            "2",
+            "--drain-ms",
+            "750",
             "--event-loop",
-            "--connections",
-            "8",
-            "--drain-ms",
-            "2000",
         ]))
         .unwrap();
-    }
-
-    #[test]
-    fn bench_net_self_hosted_small_run() {
-        // End-to-end over loopback sockets at a tiny scale.
-        bench_net(&args(&[
-            "linear-s",
-            "--rps",
-            "150",
-            "--duration",
-            "0.3",
-            "--clients",
-            "2",
-            "--workers",
-            "2",
-            "--handlers",
-            "2",
-            "--drain-ms",
-            "2000",
-        ]))
-        .unwrap();
+        assert_eq!(a.listen.as_deref(), Some("127.0.0.1:0"));
+        assert_eq!(a.net.loops, 3);
+        assert_eq!(a.net.max_conns, 99);
+        assert_eq!(a.net.drain_deadline, Duration::from_millis(750));
+        assert!(parse_args(&args(&["linear-s", "--listen"])).is_err());
+        assert!(parse_args(&args(&["linear-s", "--handlers", "2"])).is_err());
     }
 }

@@ -1,9 +1,8 @@
 //! The gateway core: route, forward, fail over.
 //!
-//! [`GatewayCore`] implements [`WireHandler`], so either `cote-net`
-//! front-end (threaded or event-loop) can serve it unchanged — the gateway
-//! is "a handler that happens to answer by asking someone else". Per
-//! request:
+//! [`GatewayCore`] implements [`WireHandler`], so the `cote-net` server
+//! serves it unchanged — the gateway is "a handler that happens to answer
+//! by asking someone else". Per request:
 //!
 //! 1. Derive the routing key (query index or SQL text) and fingerprint it.
 //! 2. Walk the ring's candidate order for that key, skipping backends the
@@ -551,8 +550,7 @@ impl Gateway {
         }
     }
 
-    /// The routable core, for `NetServer::start_with` /
-    /// `EventServer::start_with`.
+    /// The routable core, for `NetServer::start_with`.
     pub fn handler(&self) -> Arc<GatewayCore> {
         Arc::clone(&self.core)
     }

@@ -6,10 +6,7 @@ use cote::{Cote, TimeModel};
 use cote_catalog::{Catalog, ColumnDef, TableDef};
 use cote_common::{ColRef, TableId, TableRef};
 use cote_gateway::{Gateway, GatewayConfig};
-use cote_net::{
-    EventConfig, EventServer, HttpRequest, NetClient, NetConfig, NetServer, WireHandler,
-    WireResponse,
-};
+use cote_net::{HttpRequest, NetClient, NetConfig, NetServer, WireHandler, WireResponse};
 use cote_obs::Registry;
 use cote_query::{Query, QueryBlockBuilder};
 use cote_service::{CoteService, ServiceConfig};
@@ -137,7 +134,7 @@ fn busy_backend_fails_over_and_exhaustion_degrades_to_busy() {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: two real estimation backends behind an event-loop gateway.
+// End-to-end: two real estimation backends behind a gateway.
 // ---------------------------------------------------------------------------
 
 fn fixture() -> (Catalog, Vec<Query>) {
@@ -269,12 +266,11 @@ fn dead_backend_is_detected_and_routed_around() {
         probe_interval: Duration::from_millis(100),
         ..Default::default()
     });
-    // Event-loop front-end over the gateway handler: the tentpole combo.
-    let front = EventServer::start_with(
+    let front = NetServer::start_with(
         gw.handler(),
         gw.registry(),
         TcpListener::bind("127.0.0.1:0").unwrap(),
-        EventConfig::from_net(&NetConfig::default()),
+        NetConfig::default(),
     )
     .unwrap();
     wait_backends_up(&gw, 2);

@@ -1,18 +1,14 @@
-//! Failpoint sites for the network front-ends.
+//! Failpoint sites for the network front-end.
 //!
-//! Both transports — the thread-per-connection [`NetServer`] and the
-//! event-driven [`EventServer`] — evaluate the *same* site names at the
-//! same protocol moments, so a chaos scenario written against one
-//! front-end means the same thing against the other. The sites live on the
-//! accept, read and write paths; what each injected [`FaultAction`] does at
-//! a given site is documented on the constant.
+//! [`NetServer`] evaluates these sites on its accept, read and write
+//! paths; what each injected [`FaultAction`] does at a given site is
+//! documented on the constant.
 //!
 //! All of this costs one relaxed atomic load per site when the registry is
 //! disarmed, and compiles out entirely under `chaos-off` (see
 //! [`cote_common::failpoint`]).
 //!
 //! [`NetServer`]: crate::NetServer
-//! [`EventServer`]: crate::EventServer
 
 use cote_common::failpoint::{self, FaultAction};
 
@@ -31,8 +27,8 @@ pub const READ_RESET: &str = "net.read.reset";
 /// Stall before writing a response (`FaultAction::Delay`).
 pub const WRITE_DELAY: &str = "net.write.delay";
 
-/// Deliver the response in two flushes with a gap between them — the peer
-/// sees a partial frame and must resume. Action: any.
+/// Deliver the response in two flushes (one byte, then the rest on a later
+/// flush) — the peer sees a partial frame and must resume. Action: any.
 pub const WRITE_PARTIAL: &str = "net.write.partial";
 
 /// Garble the response bytes (framing preserved: newlines untouched).

@@ -10,11 +10,10 @@
 //!   [`FrameBuffer::next_line`]. The byte cap is enforced *while
 //!   buffering*, so a peer that never sends a newline cannot make the
 //!   process allocate unboundedly. The blocking [`LineReader`] and the
-//!   non-blocking event-loop connections share this one splitter, so
-//!   partial-frame resumption behaves identically on both paths by
-//!   construction.
+//!   server's non-blocking connections share this one splitter, so
+//!   partial-frame resumption behaves identically on both by construction.
 //! - [`LineReader`]: [`FrameBuffer`] plus a blocking `Read` source, for the
-//!   thread-per-connection server, the HTTP parser and the stdin loop.
+//!   client and the stdin loops.
 //!
 //! Framing rules: a frame is one line terminated by `\n` (a trailing `\r`
 //! is stripped, so `\r\n` peers work); the terminator is not part of the
@@ -264,19 +263,6 @@ impl<R: Read> LineReader<R> {
             }
         }
     }
-
-    /// Read exactly `n` more bytes (for sized HTTP bodies), using whatever
-    /// is already buffered first. The caller is responsible for capping `n`.
-    pub fn read_exact_bytes(&mut self, n: usize) -> Result<Vec<u8>, FrameError> {
-        loop {
-            if let Some(out) = self.frames.take_bytes(n) {
-                return Ok(out);
-            }
-            if self.fill()? == 0 {
-                return Err(FrameError::Truncated);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -336,14 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn read_exact_bytes_spans_buffer_and_stream() {
-        let mut r = reader(b"head\nbody-bytes", 64);
-        assert_eq!(r.read_line().unwrap().as_deref(), Some("head"));
-        assert_eq!(r.read_exact_bytes(10).unwrap(), b"body-bytes");
-        assert!(matches!(r.read_exact_bytes(1), Err(FrameError::Truncated)));
-    }
-
-    #[test]
     fn timeout_classification() {
         let to = FrameError::Io(std::io::Error::from(std::io::ErrorKind::WouldBlock));
         assert!(to.is_timeout());
@@ -352,7 +330,7 @@ mod tests {
 
     #[test]
     fn frame_buffer_resumes_across_single_byte_pushes() {
-        // The regression the event loop depends on: a frame split at every
+        // The regression the server depends on: a frame split at every
         // possible byte boundary must come out identical to one pushed
         // whole.
         let mut whole = FrameBuffer::new(64);

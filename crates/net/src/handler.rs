@@ -1,20 +1,17 @@
 //! Transport-independent request handling.
 //!
-//! Both front-ends — the thread-per-connection [`NetServer`] and the
-//! event-driven [`EventServer`] — speak the same two protocols (the line
-//! wire grammar and minimal HTTP/1.1) but differ only in *how bytes move*.
-//! This module holds the part that doesn't differ: a [`WireHandler`] turns
-//! one parsed request into one response, with no knowledge of sockets,
-//! buffers or readiness.
+//! [`NetServer`] moves bytes for two protocols (the line wire grammar and
+//! minimal HTTP/1.1); this module holds what the requests mean: a
+//! [`WireHandler`] turns one parsed request into one response, with no
+//! knowledge of sockets, buffers or readiness.
 //!
 //! [`ServiceHandler`] is the estimation-daemon implementation (resolve the
 //! query, submit to [`CoteService`], render the decision). The
 //! `cote-gateway` crate provides a second implementation that forwards
 //! requests to a consistent-hash ring of backends — same trait, same
-//! front-ends.
+//! server.
 //!
 //! [`NetServer`]: crate::NetServer
-//! [`EventServer`]: crate::EventServer
 
 use crate::http::{self, HttpRequest};
 use crate::metrics::NetMetrics;

@@ -2,14 +2,14 @@
 //!
 //! Just enough for a Prometheus scraper, a load balancer's health probe and
 //! a JSON client: request line + headers through the same length-capped
-//! [`LineReader`] as the wire protocol, a `Content-Length`-sized body with
-//! its own cap, and `Connection: close` semantics on every response (one
-//! request per connection keeps the server's drain story trivial —
-//! pipelined/keep-alive clients belong on the wire protocol, which is
-//! cheaper anyway).
+//! [`FrameBuffer`](crate::FrameBuffer) as the wire protocol, a
+//! `Content-Length`-sized body with its own cap, and `Connection: close`
+//! semantics on every response (one request per connection keeps the
+//! server's drain story trivial — pipelined/keep-alive clients belong on
+//! the wire protocol, which is cheaper anyway). The server drives these
+//! pieces incrementally as bytes arrive.
 
-use crate::frame::{FrameError, LineReader};
-use std::io::Read;
+use crate::frame::FrameError;
 
 /// Parsed request head plus body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,7 +62,6 @@ pub fn looks_like_http(first_line: &str) -> bool {
 }
 
 /// Parse `METHOD path HTTP/1.x` into `(METHOD, path)`; method uppercased.
-/// Shared by the blocking reader and the event loop's incremental parser.
 pub(crate) fn parse_request_line(first_line: &str) -> Result<(String, String), HttpError> {
     let mut parts = first_line.split_whitespace();
     let (method, path, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
@@ -103,39 +102,9 @@ pub(crate) fn apply_header(
     Ok(())
 }
 
-/// Decode a complete body buffer (UTF-8 check shared with the event loop).
+/// Decode a complete body buffer.
 pub(crate) fn decode_body(raw: Vec<u8>) -> Result<String, HttpError> {
     String::from_utf8(raw).map_err(|_| HttpError::BadRequest("body is not valid utf-8".into()))
-}
-
-/// Parse the rest of an HTTP request whose request line (`first_line`) was
-/// already consumed by protocol sniffing. Bodies are capped at `max_body`.
-pub fn read_request<R: Read>(
-    first_line: &str,
-    r: &mut LineReader<R>,
-    max_body: usize,
-) -> Result<HttpRequest, HttpError> {
-    let (method, path) = parse_request_line(first_line)?;
-    let mut content_length = 0usize;
-    for n in 0.. {
-        if n >= MAX_HEADERS {
-            return Err(HttpError::BadRequest("too many headers".into()));
-        }
-        let line = match r.read_line()? {
-            Some(l) => l,
-            None => return Err(HttpError::Frame(FrameError::Truncated)),
-        };
-        if line.is_empty() {
-            break;
-        }
-        apply_header(&line, max_body, &mut content_length)?;
-    }
-    let body = if content_length > 0 {
-        decode_body(r.read_exact_bytes(content_length)?)?
-    } else {
-        String::new()
-    };
-    Ok(HttpRequest { method, path, body })
 }
 
 /// Render a full response with `Connection: close` and a sized body.
@@ -165,49 +134,46 @@ pub fn render_response(status: u16, content_type: &str, body: &str) -> String {
 mod tests {
     use super::*;
 
-    fn parse(raw: &str, max_body: usize) -> Result<HttpRequest, HttpError> {
-        let mut r = LineReader::new(raw.as_bytes(), 1024);
-        let first = r.read_line().unwrap().unwrap();
-        read_request(&first, &mut r, max_body)
-    }
-
     #[test]
-    fn parses_get_and_post_with_body() {
-        let req = parse("GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n", 64).unwrap();
+    fn parses_request_lines_and_content_length() {
+        let (method, path) = parse_request_line("get /metrics HTTP/1.1").unwrap();
+        assert_eq!((method.as_str(), path.as_str()), ("GET", "/metrics"));
+        let mut len = 0;
+        apply_header("Host: x", 64, &mut len).unwrap();
+        assert_eq!(len, 0);
+        apply_header("content-length: 12", 64, &mut len).unwrap();
+        assert_eq!(len, 12);
         assert_eq!(
-            (req.method.as_str(), req.path.as_str()),
-            ("GET", "/metrics")
+            decode_body(b"{\"query\": 3}".to_vec()).unwrap(),
+            "{\"query\": 3}"
         );
-        assert!(req.body.is_empty());
-        let req = parse(
-            "POST /estimate HTTP/1.1\r\nContent-Length: 12\r\n\r\n{\"query\": 3}",
-            64,
-        )
-        .unwrap();
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.body, "{\"query\": 3}");
     }
 
     #[test]
-    fn rejects_bad_request_lines_and_oversize_bodies() {
+    fn rejects_bad_request_lines_headers_and_oversize_bodies() {
         assert!(matches!(
-            parse("GET\r\n\r\n", 64),
+            parse_request_line("GET"),
             Err(HttpError::BadRequest(_))
         ));
         assert!(matches!(
-            parse("GET / SPDY/3\r\n\r\n", 64),
+            parse_request_line("GET / SPDY/3"),
             Err(HttpError::BadRequest(_))
         ));
+        let mut len = 0;
         assert!(matches!(
-            parse("POST / HTTP/1.1\r\nContent-Length: 999\r\n\r\n", 64),
+            apply_header("Content-Length: 999", 64, &mut len),
             Err(HttpError::BodyTooLarge { limit: 64 })
         ));
         assert!(matches!(
-            parse("POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nab", 64),
-            Err(HttpError::Frame(FrameError::Truncated))
+            apply_header("Content-Length: many", 64, &mut len),
+            Err(HttpError::BadRequest(_))
         ));
         assert!(matches!(
-            parse("GET / HTTP/1.1\r\nno-colon-header\r\n\r\n", 64),
+            apply_header("no-colon-header", 64, &mut len),
+            Err(HttpError::BadRequest(_))
+        ));
+        assert!(matches!(
+            decode_body(vec![0xFF, 0xFE]),
             Err(HttpError::BadRequest(_))
         ));
     }

@@ -1,14 +1,10 @@
 //! `cote-net`: the network front-end that puts
-//! [`CoteService`](cote_service::CoteService) on the wire.
-//!
-//! PR 1 built the estimation-and-admission daemon and PR 2 its
-//! observability; both were only reachable in-process or via stdin. This
-//! crate adds the serving stack, `std`-only:
+//! [`CoteService`](cote_service::CoteService) on the wire, `std`-only:
 //!
 //! ```text
 //!            ┌──────────────────────────────────────────────────────┐
-//!  TCP ────▶ │ acceptor ─▶ bounded pending queue ─▶ handler pool    │
-//!            │     │            full → "BUSY connections" + close   │
+//!  TCP ────▶ │ acceptor ─▶ readiness loops (epoll | poll)           │
+//!            │     │   over max_conns → "BUSY connections" + close  │
 //!            │     ▼                                                │
 //!            │ per connection: length-capped frames, protocol sniff │
 //!            │   wire:  PING / ESTIMATE / ADMIT / METRICS           │
@@ -20,18 +16,16 @@
 //! - [`frame`]: the length-capped line reader every untrusted input goes
 //!   through (including `cote serve`'s stdin loop).
 //! - [`proto`]: the one-line request/response grammar and JSON payloads.
-//! - [`http`]: a minimal HTTP/1.1 parser/printer for scrapers and probes.
-//! - [`server`]: acceptor + bounded handler pool, layered backpressure
-//!   (connection cap here, estimation admission inside the service),
-//!   graceful deadline-bounded drain.
+//! - [`http`]: minimal HTTP/1.1 parsing/printing for scrapers and probes.
+//! - [`poll`]: the readiness pollers (`epoll`, portable `poll(2)`).
+//! - [`server`]: the one transport — acceptor, loops, connection state
+//!   machines, layered backpressure (connection cap here, estimation
+//!   admission inside the service), graceful deadline-bounded drain.
+//! - [`handler`]: what requests mean, behind [`WireHandler`].
 //! - [`client`]: a blocking wire-protocol client.
-//! - [`bench`]: an open-loop socket load generator over
-//!   `cote_workloads::traffic` schedules.
 
-pub mod bench;
 pub mod chaos;
 pub mod client;
-pub mod event;
 pub mod frame;
 pub mod handler;
 pub mod http;
@@ -40,9 +34,7 @@ pub mod poll;
 pub mod proto;
 pub mod server;
 
-pub use bench::{bench_net, NetBenchConfig, NetBenchReport};
 pub use client::{NetClient, NetClientConfig, NetError};
-pub use event::{EventConfig, EventServer};
 pub use frame::{FrameBuffer, FrameError, LineReader, MAX_LINE_BYTES};
 pub use handler::{http_body_to_wire, wire_to_http, ServiceHandler, WireHandler};
 pub use http::{HttpError, HttpRequest};

@@ -70,8 +70,7 @@ impl NetMetrics {
     }
 }
 
-/// Readiness-loop instruments (`cote_net_poll_*`), registered only when the
-/// event-driven front-end runs.
+/// Readiness-loop instruments (`cote_net_poll_*`).
 #[derive(Clone)]
 pub struct PollMetrics {
     /// Poller wakeups (poll syscalls that returned at least one event).

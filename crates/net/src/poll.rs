@@ -1,6 +1,6 @@
 //! Readiness polling behind a minimal [`Poller`] trait, `std`-only.
 //!
-//! The event-driven front-end ([`crate::event`]) needs one primitive the
+//! The server ([`crate::server`]) needs one primitive the
 //! standard library doesn't expose: "tell me which of these sockets are
 //! readable/writable". Rather than pull in a dependency, this module
 //! declares the handful of libc symbols std already links against:

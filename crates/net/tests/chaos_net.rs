@@ -1,9 +1,5 @@
-//! Fault-injection tests for both network front-ends: injected partial
+//! Fault-injection tests for the network front-end: injected partial
 //! writes, truncated frames (wire and mid-HTTP), and read/accept resets.
-//!
-//! Every test runs against the threaded [`NetServer`] and the event-loop
-//! [`EventServer`] via `both_modes!` — the failpoint sites are evaluated at
-//! the same protocol moments in both, so the assertions are identical.
 //!
 //! The failpoint registry is process-global, so tests serialize on a
 //! static mutex and scope their specs to a per-test label: a concurrently
@@ -16,10 +12,7 @@ use cote_catalog::{Catalog, ColumnDef, TableDef};
 use cote_common::failpoint::{self, FaultAction, FaultSpec};
 use cote_common::{ColRef, TableId, TableRef};
 use cote_net::proto::json_extract_str;
-use cote_net::{
-    chaos, DrainReport, EventConfig, EventServer, NetClient, NetClientConfig, NetConfig,
-    NetMetrics, NetServer, WireResponse,
-};
+use cote_net::{chaos, NetClient, NetClientConfig, NetConfig, NetServer, WireResponse};
 use cote_optimizer::{Mode as OptMode, OptimizerConfig};
 use cote_query::{Query, QueryBlockBuilder};
 use cote_service::{CoteService, QueryClass, ServiceConfig};
@@ -102,84 +95,19 @@ fn client_cfg() -> NetClientConfig {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Mode {
-    Threaded,
-    Event,
-}
-
-enum FrontEnd {
-    Threaded(NetServer),
-    Event(EventServer),
-}
-
-impl Mode {
-    /// Bind with the test's scope label on the constructing thread so the
-    /// server's accept/handler threads inherit it.
-    fn bind_scoped(
-        self,
-        svc: &Arc<CoteService>,
-        queries: &Arc<Vec<Query>>,
-        scope: &str,
-    ) -> FrontEnd {
-        failpoint::set_thread_scope(scope);
-        let cfg = NetConfig::default();
-        let server = match self {
-            Mode::Threaded => FrontEnd::Threaded(
-                NetServer::bind(Arc::clone(svc), Arc::clone(queries), "127.0.0.1:0", cfg).unwrap(),
-            ),
-            Mode::Event => FrontEnd::Event(
-                EventServer::bind(
-                    Arc::clone(svc),
-                    Arc::clone(queries),
-                    "127.0.0.1:0",
-                    EventConfig::from_net(&cfg),
-                )
-                .unwrap(),
-            ),
-        };
-        failpoint::set_thread_scope("");
-        server
-    }
-}
-
-impl FrontEnd {
-    fn local_addr(&self) -> SocketAddr {
-        match self {
-            FrontEnd::Threaded(s) => s.local_addr(),
-            FrontEnd::Event(s) => s.local_addr(),
-        }
-    }
-
-    fn metrics(&self) -> &NetMetrics {
-        match self {
-            FrontEnd::Threaded(s) => s.metrics(),
-            FrontEnd::Event(s) => s.metrics(),
-        }
-    }
-
-    fn shutdown(self) -> DrainReport {
-        match self {
-            FrontEnd::Threaded(s) => s.shutdown(),
-            FrontEnd::Event(s) => s.shutdown(),
-        }
-    }
-}
-
-macro_rules! both_modes {
-    ($name:ident) => {
-        mod $name {
-            use super::*;
-            #[test]
-            fn threaded() {
-                super::$name(Mode::Threaded);
-            }
-            #[test]
-            fn event_loop() {
-                super::$name(Mode::Event);
-            }
-        }
-    };
+/// Bind with the test's scope label on the constructing thread so the
+/// server's accept and loop threads inherit it.
+fn bind_scoped(svc: &Arc<CoteService>, queries: &Arc<Vec<Query>>, scope: &str) -> NetServer {
+    failpoint::set_thread_scope(scope);
+    let server = NetServer::bind(
+        Arc::clone(svc),
+        Arc::clone(queries),
+        "127.0.0.1:0",
+        NetConfig::default(),
+    )
+    .unwrap();
+    failpoint::set_thread_scope("");
+    server
 }
 
 fn fires(site: &str) -> u64 {
@@ -203,7 +131,8 @@ fn http_exchange(addr: SocketAddr, request: &str) -> String {
 /// Every response is delivered as a split frame (one byte, a gap, the
 /// rest). Concurrent clients must still each see intact, in-order JSON —
 /// any cross-connection interleaving or frame reuse would garble it.
-fn partial_writes_never_interleave_responses(mode: Mode) {
+#[test]
+fn partial_writes_never_interleave_responses() {
     let _guard = registry_lock();
     const SCOPE: &str = "chaos-net-partial";
     failpoint::arm(11);
@@ -221,7 +150,7 @@ fn partial_writes_never_interleave_responses(mode: Mode) {
             other => panic!("{other:?}"),
         })
         .collect();
-    let server = mode.bind_scoped(&svc, &queries, SCOPE);
+    let server = bind_scoped(&svc, &queries, SCOPE);
     let addr = server.local_addr();
 
     const CLIENTS: usize = 4;
@@ -264,13 +193,13 @@ fn partial_writes_never_interleave_responses(mode: Mode) {
     assert_eq!(svc.metrics().queue_depth.get(), 0);
     failpoint::disarm();
 }
-both_modes!(partial_writes_never_interleave_responses);
 
 /// Responses truncate mid-frame — half the bytes, then a hard close. The
 /// affected peer sees a clean EOF (never a hang), neighbouring connections
 /// are untouched, and once the fault budget is spent the same exchanges
 /// succeed byte-for-byte.
-fn truncated_frames_mid_http_close_cleanly(mode: Mode) {
+#[test]
+fn truncated_frames_mid_http_close_cleanly() {
     let _guard = registry_lock();
     const SCOPE: &str = "chaos-net-reset";
     failpoint::arm(13);
@@ -280,7 +209,7 @@ fn truncated_frames_mid_http_close_cleanly(mode: Mode) {
     );
 
     let (svc, queries) = service();
-    let server = mode.bind_scoped(&svc, &queries, SCOPE);
+    let server = bind_scoped(&svc, &queries, SCOPE);
     let addr = server.local_addr();
 
     // Fire 1: an HTTP response truncates mid-stream.
@@ -317,11 +246,11 @@ fn truncated_frames_mid_http_close_cleanly(mode: Mode) {
     assert_eq!(svc.metrics().queue_depth.get(), 0);
     failpoint::disarm();
 }
-both_modes!(truncated_frames_mid_http_close_cleanly);
 
 /// Accept- and read-path resets drop the connection without a reply; the
 /// peer sees EOF promptly and later connections are served normally.
-fn accept_and_read_resets_drop_without_reply(mode: Mode) {
+#[test]
+fn accept_and_read_resets_drop_without_reply() {
     let _guard = registry_lock();
     const SCOPE: &str = "chaos-net-drop";
     failpoint::arm(17);
@@ -335,7 +264,7 @@ fn accept_and_read_resets_drop_without_reply(mode: Mode) {
     );
 
     let (svc, queries) = service();
-    let server = mode.bind_scoped(&svc, &queries, SCOPE);
+    let server = bind_scoped(&svc, &queries, SCOPE);
     let addr = server.local_addr();
 
     // Fire 1 (accept): the connection lands and is immediately dropped —
@@ -363,12 +292,12 @@ fn accept_and_read_resets_drop_without_reply(mode: Mode) {
     assert_eq!(svc.metrics().queue_depth.get(), 0);
     failpoint::disarm();
 }
-both_modes!(accept_and_read_resets_drop_without_reply);
 
 /// `PING` is exempt from injected faults ([`chaos::exempt`]): even under
 /// an always-firing reset plan, health checks sail through — which is what
 /// keeps prober traffic from perturbing deterministic fault schedules.
-fn health_checks_are_exempt_from_faults(mode: Mode) {
+#[test]
+fn health_checks_are_exempt_from_faults() {
     let _guard = registry_lock();
     const SCOPE: &str = "chaos-net-exempt";
     failpoint::arm(19);
@@ -386,7 +315,7 @@ fn health_checks_are_exempt_from_faults(mode: Mode) {
     );
 
     let (svc, queries) = service();
-    let server = mode.bind_scoped(&svc, &queries, SCOPE);
+    let server = bind_scoped(&svc, &queries, SCOPE);
     let mut c = NetClient::connect_with(server.local_addr(), &client_cfg()).unwrap();
     for _ in 0..5 {
         c.ping().unwrap();
@@ -401,4 +330,3 @@ fn health_checks_are_exempt_from_faults(mode: Mode) {
     assert!(svc.drain(Duration::from_secs(10)));
     failpoint::disarm();
 }
-both_modes!(health_checks_are_exempt_from_faults);

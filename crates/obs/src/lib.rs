@@ -62,8 +62,7 @@ pub mod phase {
     pub const ESTIMATE_LEVEL: &str = "estimate_level";
     /// One estimator execution on a service worker.
     pub const SERVICE_ESTIMATE: &str = "service_estimate";
-    /// One network connection, accept to close (`cote-net`).
-    pub const NET_CONN: &str = "net_conn";
-    /// One wire/HTTP request on a connection, parse to response flushed.
+    /// One wire/HTTP request dispatch in `cote-net`, handler call to
+    /// response queued (records `http` = 0 | 1).
     pub const NET_REQUEST: &str = "net_request";
 }

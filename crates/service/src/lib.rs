@@ -25,12 +25,10 @@
 //! Everything is `std`-only: the queue is `Mutex` + `Condvar`, the cache is
 //! `RwLock`-sharded LRU, metrics are atomics with log-scaled histograms.
 //!
-//! Entry points: [`CoteService::start`] / [`CoteService::submit`], plus
-//! [`bench::replay`] for closed-loop load generation.
+//! Entry points: [`CoteService::start`] / [`CoteService::submit`].
 
 pub mod admission;
 pub mod advisor;
-pub mod bench;
 pub mod cache;
 pub mod config;
 pub mod metrics;
@@ -41,7 +39,6 @@ pub mod service;
 
 pub use admission::{Admission, AdmissionController};
 pub use advisor::{mop_rule, Advice, LevelAdvisor, LevelChoice};
-pub use bench::{replay, BenchReport};
 pub use cache::ShardedCache;
 pub use config::{RecalConfig, ServiceConfig};
 pub use metrics::{

@@ -9,8 +9,6 @@
 //!   queries by merging simpler queries … using either subqueries or joins",
 //!   preferring foreign-key→primary-key edges;
 //! * [`tpch`] — the TPC-H schema and the seven longest-compiling queries;
-//! * [`traffic`] — seeded Poisson / fixed-rate arrival schedules for
-//!   replaying any workload against the `cote-service` daemon;
 //! * [`customer`] — `real1` (8 queries) and `real2` (17 queries), synthetic
 //!   data-warehouse stand-ins for the paper's customer workloads (see
 //!   DESIGN.md §2 for the substitution argument);
@@ -34,7 +32,6 @@ pub mod sql;
 pub mod star;
 pub mod synth;
 pub mod tpch;
-pub mod traffic;
 
 use cote_catalog::Catalog;
 use cote_common::{CoteError, Result};
