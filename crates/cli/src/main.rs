@@ -1,22 +1,5 @@
-//! `cote` — command-line driver for the COTE reproduction.
-//!
-//! ```text
-//! cote workloads                      list workload names
-//! cote show <workload> [N]            pseudo-SQL of a workload('s Nth query)
-//! cote estimate <workload> [N]        COTE estimates (quick self-calibration)
-//! cote estimate [workload] --sql <SQL|->    estimate one SQL statement
-//! cote memo <workload> N              estimator MEMO property lists
-//! cote compile <workload> [N]         compile for real; stats + chosen plan
-//! cote forecast <workload>            §1.1 workload compilation forecast
-//! cote mop <workload> <secs-per-unit> Figure 1 meta-optimizer decisions
-//! cote calibrate [workload] [--online] fit the time model; drifted replay
-//! cote metrics <workload> [N]         estimate + global metrics registry dump
-//! cote serve <workload> [--listen ADDR]     estimation daemon (stdin + TCP/HTTP)
-//! cote gateway --backend ADDR [..]    consistent-hash front over serve daemons
-//! cote chaos --seed N --scenario S    deterministic fault-injection harness
-//! cote bench-par [--tables N] [--threads A,B] parallel-enumeration speedup bench
-//! cote bench-all [--json]             phase times, plans/sec, cache hit-rate
-//! ```
+//! `cote` — command-line driver for the COTE reproduction; `commands::USAGE`
+//! lists the commands.
 
 mod chaos;
 mod commands;
@@ -40,8 +23,6 @@ fn main() -> ExitCode {
         Some("serve") => serve::serve(&args[1..]),
         Some("gateway") => gateway::run(&args[1..]),
         Some("chaos") => chaos::run(&args[1..]),
-        Some("bench-par") => commands::bench_par(&args[1..]),
-        Some("bench-all") => commands::bench_all(&args[1..]),
         Some("help") | None => {
             print!("{}", commands::USAGE);
             Ok(())

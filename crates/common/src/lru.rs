@@ -1,7 +1,6 @@
 //! A small intrusive LRU cache.
 //!
-//! Backs both the bounded `StatementCache` in `cote` and the per-shard
-//! estimate caches of `cote-service`. Entries live in a `Vec`
+//! Backs the per-shard estimate caches of `cote-service`. Entries live in a `Vec`
 //! arena threaded into a doubly-linked recency list, with an [`FxHashMap`]
 //! index from key to arena slot — `get`/`insert` are O(1) and eviction
 //! reuses slots, so a warm cache allocates nothing.

@@ -25,7 +25,7 @@ use cote_common::{ColRef, FxHashSet, Interner, PropSetId, Result, TableRef};
 use cote_obs::{phase, Counter, Span, Stopwatch};
 use cote_optimizer::cardinality::SimpleCardinality;
 use cote_optimizer::context::OptContext;
-use cote_optimizer::enumerator::{enumerate, JoinSite, JoinVisitor};
+use cote_optimizer::enumerator::{enumerate, EnumOutcome, JoinSite, JoinVisitor};
 use cote_optimizer::memo::{EntryId, MemoEntry, MemoStore};
 use cote_optimizer::par::{enumerate_par, ParallelJoinVisitor};
 use cote_optimizer::properties::order::{is_interesting, Ordering};
@@ -158,6 +158,54 @@ impl<'o> PlanEstimator<'o> {
             prop_naive_compares: 0,
             fork_base: (0, 0),
             remaps: Vec::new(),
+        }
+    }
+
+    /// Close the estimate `span` over a finished enumeration and fold the
+    /// accumulated counts into the block's estimate.
+    fn finish(
+        self,
+        mut span: Span,
+        outcome: EnumOutcome<InternedLists>,
+        block: &QueryBlock,
+    ) -> BlockEstimate {
+        let property_values: u64 = outcome
+            .memo
+            .iter()
+            .map(|(_, e)| e.payload.value_count() as u64)
+            .sum();
+        // Per-level estimate markers (§6.2 piggyback), nested in the estimate
+        // span; then the block-level plan/MEMO counts as span fields.
+        for (&limit, counts) in self.levels.iter().zip(&self.level_counts) {
+            let mut level = Span::enter(phase::ESTIMATE_LEVEL);
+            level.record("limit", limit as u64);
+            level.record("plans", counts.total());
+            level.close();
+        }
+        span.record("pairs", outcome.pairs);
+        span.record("joins", outcome.joins);
+        span.record("memo_entries", outcome.memo.len() as u64);
+        span.record("plans", self.level_counts[0].total());
+        span.record("property_values", property_values);
+        span.close();
+        BlockEstimate {
+            counts: self.level_counts[0],
+            level_counts: self.level_counts,
+            compound_counts: self
+                .opts
+                .compound_properties
+                .then_some(self.compound_counts),
+            pairs: outcome.pairs,
+            joins: outcome.joins,
+            memo_entries: outcome.memo.len() as u64,
+            property_values,
+            scan_plans: self.scan_est,
+            sort_plans: self.sort_est,
+            // §3: one sort-based + one hash-based grouping plan per aggregation.
+            group_plans: if block.group_by().is_empty() { 0 } else { 2 },
+            prop_probes: self.prop_probes,
+            prop_compares: self.prop_compares,
+            prop_naive_compares: self.prop_naive_compares,
         }
     }
 
@@ -656,49 +704,13 @@ pub fn estimate_block(
 ) -> Result<BlockEstimate> {
     let ctx = OptContext::new(catalog, block, config);
     let mut visitor = PlanEstimator::new(opts, config.composite_inner_limit);
-    let mut span = Span::enter(phase::ESTIMATE);
-    let outcome = if opts.top_down {
-        cote_optimizer::enumerate_topdown(&ctx, &SimpleCardinality, &mut visitor)?
-    } else if opts.enum_threads > 1 {
+    let span = Span::enter(phase::ESTIMATE);
+    let outcome = if opts.enum_threads > 1 {
         enumerate_par(&ctx, &SimpleCardinality, &mut visitor, opts.enum_threads)?
     } else {
         enumerate(&ctx, &SimpleCardinality, &mut visitor)?
     };
-    let property_values: u64 = outcome
-        .memo
-        .iter()
-        .map(|(_, e)| e.payload.value_count() as u64)
-        .sum();
-    // Per-level estimate markers (§6.2 piggyback), nested in the estimate
-    // span; then the block-level plan/MEMO counts as span fields.
-    for (&limit, counts) in visitor.levels.iter().zip(&visitor.level_counts) {
-        let mut level = Span::enter(phase::ESTIMATE_LEVEL);
-        level.record("limit", limit as u64);
-        level.record("plans", counts.total());
-        level.close();
-    }
-    span.record("pairs", outcome.pairs);
-    span.record("joins", outcome.joins);
-    span.record("memo_entries", outcome.memo.len() as u64);
-    span.record("plans", visitor.level_counts[0].total());
-    span.record("property_values", property_values);
-    span.close();
-    Ok(BlockEstimate {
-        counts: visitor.level_counts[0],
-        level_counts: visitor.level_counts,
-        compound_counts: opts.compound_properties.then_some(visitor.compound_counts),
-        pairs: outcome.pairs,
-        joins: outcome.joins,
-        memo_entries: outcome.memo.len() as u64,
-        property_values,
-        scan_plans: visitor.scan_est,
-        sort_plans: visitor.sort_est,
-        // §3: one sort-based + one hash-based grouping plan per aggregation.
-        group_plans: if block.group_by().is_empty() { 0 } else { 2 },
-        prop_probes: visitor.prop_probes,
-        prop_compares: visitor.prop_compares,
-        prop_naive_compares: visitor.prop_naive_compares,
-    })
+    Ok(visitor.finish(span, outcome, block))
 }
 
 /// Run the estimator on one block and return each MEMO entry's interesting
@@ -967,17 +979,14 @@ mod tests {
         for orderby in [false, true] {
             let block = chain(&cat, 6, orderby);
             let cfg = OptimizerConfig::high(Mode::Serial);
-            let up = estimate_block(&cat, &block, &cfg, &EstimateOptions::default()).unwrap();
-            let down = estimate_block(
-                &cat,
-                &block,
-                &cfg,
-                &EstimateOptions {
-                    top_down: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            let opts = EstimateOptions::default();
+            let up = estimate_block(&cat, &block, &cfg, &opts).unwrap();
+            let ctx = OptContext::new(&cat, &block, &cfg);
+            let mut visitor = PlanEstimator::new(&opts, cfg.composite_inner_limit);
+            let span = Span::enter(phase::ESTIMATE);
+            let outcome =
+                cote_optimizer::enumerate_topdown(&ctx, &SimpleCardinality, &mut visitor).unwrap();
+            let down = visitor.finish(span, outcome, &block);
             assert_eq!(up.counts, down.counts, "orderby={orderby}");
             assert_eq!(up.pairs, down.pairs);
             assert_eq!(up.joins, down.joins);

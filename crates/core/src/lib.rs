@@ -56,6 +56,7 @@
 pub mod calibrate;
 pub mod cote;
 pub mod estimator;
+pub mod fingerprint;
 pub mod forecast;
 pub mod joincount;
 pub mod memory;
@@ -70,6 +71,7 @@ pub mod time_model;
 pub use calibrate::{calibrate, calibrate_multi, calibrate_per_phase, Calibration, TrainingPoint};
 pub use cote::{CompileTimeEstimate, Cote};
 pub use estimator::{estimate_block, estimate_query, property_lists, BlockEstimate, QueryEstimate};
+pub use fingerprint::{fingerprint, StructuralHasher};
 pub use forecast::{forecast_workload, WorkloadForecast};
 pub use joincount::{count_joins, linear_join_count, star_join_count, JoinCountModel};
 pub use memory::{
@@ -80,5 +82,5 @@ pub use online::{OnlineConfig, OnlineRegressor};
 pub use options::EstimateOptions;
 pub use regression::{least_squares, mean_abs_pct_error, nonnegative_least_squares};
 pub use reopt::{should_reoptimize, ExecutionCheckpoint, ReoptDecision};
-pub use statement_cache::{fingerprint, StatementCache, StructuralHasher};
+pub use statement_cache::StatementCache;
 pub use time_model::TimeModel;

@@ -12,13 +12,7 @@ pub struct EstimateOptions {
     /// §6.2 single-pass multi-level estimation: additional composite-inner
     /// limits (below the configured one) to account simultaneously.
     pub levels: Vec<usize>,
-    /// Drive the top-down (transformation-style) enumerator instead of the
-    /// bottom-up one (§6.2). With full memoization both explore the same
-    /// join sites, so estimates are identical — this exists to demonstrate
-    /// exactly that.
-    pub top_down: bool,
     /// Worker threads for the estimator's counting walk (`1` = serial).
-    /// Ignored in top-down mode, which has no level barrier to shard at.
     pub enum_threads: usize,
 }
 
@@ -28,7 +22,6 @@ impl Default for EstimateOptions {
             first_join_only: true,
             compound_properties: false,
             levels: Vec::new(),
-            top_down: false,
             enum_threads: 1,
         }
     }

@@ -7,233 +7,53 @@
 //! the motivating contrast for COTE. Implemented here so the harness can
 //! demonstrate exactly that failure mode.
 
-use cote_common::{ColRef, LruCache, TableId, TableRef};
-use cote_obs::{CacheStats, Counter};
-use cote_query::{PredOp, Query, QueryBlock};
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
+use crate::fingerprint::fingerprint;
+use cote_common::FxHashMap;
+use cote_query::Query;
 
 /// A compile-time cache keyed by query *structure*.
 ///
-/// The fingerprint covers everything that determines compilation cost —
+/// The [`fingerprint`] covers everything that determines compilation cost —
 /// table identities, join-predicate columns, local-predicate columns and
 /// operator kinds, GROUP BY / ORDER BY shapes, subquery structure — but not
 /// literal constants, so `price < 10` and `price < 99` share an entry (as a
-/// parameterized statement cache would).
-///
-/// Unbounded by default (the paper's baseline caches every statement);
-/// [`StatementCache::with_capacity`] bounds it with least-recently-used
-/// eviction, which is what a production statement cache does.
-#[derive(Debug)]
+/// parameterized statement cache would). Unbounded: the paper's baseline
+/// caches every statement.
+#[derive(Debug, Default)]
 pub struct StatementCache {
-    entries: LruCache<u64, f64>,
-    // cote-obs instruments instead of bare fields: per-instance counts feed
-    // [`StatementCache::stats`], and every event is mirrored into the
-    // process-wide `statement_cache_*` registry counters.
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
+    entries: FxHashMap<u64, f64>,
+    hits: u64,
+    misses: u64,
 }
 
-/// Global-registry mirrors, summed across every cache instance in the
-/// process (what `cote metrics` exposes).
-struct GlobalCounters {
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    evictions: Arc<Counter>,
-}
-
-fn global_counters() -> &'static GlobalCounters {
-    static CELLS: OnceLock<GlobalCounters> = OnceLock::new();
-    CELLS.get_or_init(|| {
-        let r = cote_obs::global();
-        GlobalCounters {
-            hits: r.counter_with_help(
-                "statement_cache_hits_total",
-                "Statement-cache lookups served from cache.",
-            ),
-            misses: r.counter_with_help(
-                "statement_cache_misses_total",
-                "Statement-cache lookups that missed.",
-            ),
-            evictions: r.counter_with_help(
-                "statement_cache_evictions_total",
-                "Statements evicted from the cache.",
-            ),
-        }
-    })
-}
-
-impl Default for StatementCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// The literal-normalizing structural hasher every fingerprint path shares.
-///
-/// Both the built-[`QueryBlock`] fingerprint below and `cote-sql`'s
-/// AST-level fingerprint feed the *same canonical event sequence* through
-/// this hasher, so a statement parsed from SQL text and the equivalent
-/// hand-built spec produce bit-identical fingerprints — the statement cache
-/// can be consulted from either entry point. Literal constants never enter
-/// the hash (only operator *kinds* do): `WHERE a = 1` and `WHERE a = 2` are
-/// one statement with a parameter slot.
-///
-/// Canonical event order per block: [`Self::begin_block`], every join
-/// predicate in declaration order, every local predicate in declaration
-/// order, every expensive predicate's column, then [`Self::block_shape`],
-/// then each child block recursively in order.
-#[derive(Default)]
-pub struct StructuralHasher {
-    h: cote_common::fxhash::FxHasher,
-}
-
-impl StructuralHasher {
-    /// Fresh hasher.
+impl StatementCache {
+    /// Empty cache.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Open a block: its FROM list as catalog table ids, in FROM order.
-    pub fn begin_block<I: ExactSizeIterator<Item = TableId>>(&mut self, tables: I) {
-        tables.len().hash(&mut self.h);
-        for t in tables {
-            t.hash(&mut self.h);
-        }
-    }
-
-    /// One join predicate (orientation is significant — lowering preserves
-    /// the written order, so both paths see the same columns).
-    pub fn join_pred(&mut self, left: ColRef, right: ColRef, implied: bool, outer: Option<u16>) {
-        (left, right, implied, outer).hash(&mut self.h);
-    }
-
-    /// One local predicate: column plus operator kind. The literal operand
-    /// is a parameter slot and is *not* hashed.
-    pub fn local_pred(&mut self, column: ColRef, op: &PredOp) {
-        column.hash(&mut self.h);
-        let kind: u8 = match op {
-            PredOp::Eq(_) => 0,
-            PredOp::Le(_) => 1,
-            PredOp::Ge(_) => 2,
-            PredOp::Between(_, _) => 3,
-            // Opaque predicates differ structurally per selectivity class.
-            PredOp::Opaque(_) => 4,
-        };
-        kind.hash(&mut self.h);
-    }
-
-    /// One expensive (deferrable) predicate's column. Selectivity and cost
-    /// are statistics, not structure.
-    pub fn expensive_pred(&mut self, column: ColRef) {
-        column.hash(&mut self.h);
-    }
-
-    /// Close a block: GROUP BY / ORDER BY shapes, FETCH FIRST presence, and
-    /// the child-block count (children are then hashed recursively).
-    pub fn block_shape(
-        &mut self,
-        group_by: &[ColRef],
-        order_by: &[ColRef],
-        has_first_n: bool,
-        children: usize,
-    ) {
-        group_by.hash(&mut self.h);
-        order_by.hash(&mut self.h);
-        has_first_n.hash(&mut self.h);
-        children.hash(&mut self.h);
-    }
-
-    /// The finished fingerprint.
-    pub fn finish(self) -> u64 {
-        self.h.finish()
-    }
-}
-
-fn hash_block(block: &QueryBlock, sh: &mut StructuralHasher) {
-    sh.begin_block((0..block.n_tables()).map(|i| block.table(TableRef(i as u8))));
-    for p in block.join_preds() {
-        sh.join_pred(p.left, p.right, p.implied, p.outer_join);
-    }
-    for p in block.local_preds() {
-        sh.local_pred(p.column, &p.op);
-    }
-    for p in block.expensive_preds() {
-        sh.expensive_pred(p.column);
-    }
-    sh.block_shape(
-        block.group_by(),
-        block.order_by(),
-        block.first_n().is_some(),
-        block.children().len(),
-    );
-    for c in block.children() {
-        hash_block(c, sh);
-    }
-}
-
-/// Structural fingerprint of a query.
-pub fn fingerprint(query: &Query) -> u64 {
-    let mut sh = StructuralHasher::new();
-    hash_block(&query.root, &mut sh);
-    sh.finish()
-}
-
-impl StatementCache {
-    /// Empty, unbounded cache.
-    pub fn new() -> Self {
-        Self::with_capacity(usize::MAX)
-    }
-
-    /// Empty cache holding at most `capacity` statements; inserting past it
-    /// evicts the least recently *looked-up* statement.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            entries: LruCache::new(capacity),
-            hits: Counter::default(),
-            misses: Counter::default(),
-            evictions: Counter::default(),
-        }
-    }
-
     /// Estimate from the cache, if a structurally identical statement was
-    /// compiled before. A hit refreshes the statement's recency.
+    /// compiled before.
     pub fn lookup(&mut self, query: &Query) -> Option<f64> {
-        match self.entries.get(&fingerprint(query)) {
-            Some(&secs) => {
-                self.hits.inc();
-                global_counters().hits.inc();
-                Some(secs)
-            }
-            None => {
-                self.misses.inc();
-                global_counters().misses.inc();
-                None
-            }
+        let cached = self.entries.get(&fingerprint(query)).copied();
+        match cached {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
         }
+        cached
     }
 
     /// Record an actual compilation.
     pub fn record(&mut self, query: &Query, seconds: f64) {
-        if self.entries.insert(fingerprint(query), seconds).is_some() {
-            self.evictions.inc();
-            global_counters().evictions.inc();
-        }
+        self.entries.insert(fingerprint(query), seconds);
     }
 
-    /// Hit/miss/eviction snapshot for this cache instance.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            evictions: self.evictions.get(),
-        }
-    }
-
-    /// Lookups served / total lookups.
+    /// Lookups served / total lookups, 0 before the first lookup.
     pub fn hit_rate(&self) -> f64 {
-        self.stats().hit_rate()
+        match self.hits + self.misses {
+            0 => 0.0,
+            total => self.hits as f64 / total as f64,
+        }
     }
 
     /// Cached statements.
@@ -245,70 +65,12 @@ impl StatementCache {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Maximum statements held (`usize::MAX` when unbounded).
-    pub fn capacity(&self) -> usize {
-        self.entries.capacity()
-    }
-
-    /// Statements evicted to make room.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.get()
-    }
-
-    /// Drop every cached statement; hit/miss/eviction counters survive.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cote_catalog::{Catalog, ColumnDef, TableDef};
-    use cote_common::{ColRef, TableId, TableRef};
-    use cote_query::QueryBlockBuilder;
-
-    fn catalog() -> Catalog {
-        let mut b = Catalog::builder();
-        for i in 0..3 {
-            b.add_table(TableDef::new(
-                format!("t{i}"),
-                100.0,
-                vec![
-                    ColumnDef::uniform("c0", 100.0, 10.0),
-                    ColumnDef::uniform("c1", 100.0, 10.0),
-                ],
-            ));
-        }
-        b.build().unwrap()
-    }
-
-    fn query(cat: &Catalog, constant: f64, orderby: bool) -> Query {
-        let mut b = QueryBlockBuilder::new();
-        b.add_table(TableId(0));
-        b.add_table(TableId(1));
-        b.join(ColRef::new(TableRef(0), 0), ColRef::new(TableRef(1), 0));
-        b.local(ColRef::new(TableRef(0), 1), PredOp::Eq(constant));
-        if orderby {
-            b.order_by(vec![ColRef::new(TableRef(1), 1)]);
-        }
-        Query::new("q", b.build(cat).unwrap())
-    }
-
-    #[test]
-    fn constants_are_parameters_structure_is_identity() {
-        let cat = catalog();
-        let a = query(&cat, 1.0, false);
-        let b = query(&cat, 99.0, false);
-        let c = query(&cat, 1.0, true);
-        assert_eq!(
-            fingerprint(&a),
-            fingerprint(&b),
-            "literals don't change the statement"
-        );
-        assert_ne!(fingerprint(&a), fingerprint(&c), "ORDER BY does");
-    }
+    use crate::fingerprint::tests::{catalog, query};
 
     #[test]
     fn cache_lifecycle_and_hit_rate() {
@@ -331,70 +93,5 @@ mod tests {
         );
         assert_eq!(cache.len(), 1);
         assert!((cache.hit_rate() - 0.5).abs() < 1e-12, "2 hits / 4 lookups");
-    }
-
-    #[test]
-    fn stats_snapshot_and_global_mirror() {
-        let cat = catalog();
-        let global_hits = cote_obs::global().counter("statement_cache_hits_total");
-        let before = global_hits.get();
-        let mut cache = StatementCache::new();
-        let q = query(&cat, 1.0, false);
-        cache.lookup(&q);
-        cache.record(&q, 0.5);
-        cache.lookup(&q);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.evictions), (1, 1, 0));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
-        // The registry mirror is process-wide: other tests may also bump
-        // it, so assert growth rather than an exact value.
-        assert!(global_hits.get() > before);
-    }
-
-    #[test]
-    fn bounded_cache_evicts_lru_and_clears() {
-        let cat = catalog();
-        let mut cache = StatementCache::with_capacity(2);
-        assert_eq!(cache.capacity(), 2);
-        let a = query(&cat, 1.0, false);
-        let b = query(&cat, 1.0, true);
-        // Structurally distinct third statement: different join column.
-        let c = {
-            let mut qb = QueryBlockBuilder::new();
-            qb.add_table(TableId(0));
-            qb.add_table(TableId(2));
-            qb.join(ColRef::new(TableRef(0), 1), ColRef::new(TableRef(1), 1));
-            Query::new("q", qb.build(&cat).unwrap())
-        };
-        cache.record(&a, 0.1);
-        cache.record(&b, 0.2);
-        assert_eq!(cache.lookup(&a), Some(0.1), "refreshes a's recency");
-        cache.record(&c, 0.3);
-        assert_eq!(cache.evictions(), 1);
-        assert_eq!(cache.lookup(&b), None, "b was LRU");
-        assert_eq!(cache.lookup(&a), Some(0.1));
-        assert_eq!(cache.lookup(&c), Some(0.3));
-        assert_eq!(cache.len(), 2);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.lookup(&a), None);
-        assert_eq!(cache.evictions(), 1, "counters survive clear");
-    }
-
-    #[test]
-    fn subquery_structure_matters() {
-        let cat = catalog();
-        let mut outer_plain = QueryBlockBuilder::new();
-        outer_plain.add_table(TableId(0));
-        let plain = Query::new("p", outer_plain.build(&cat).unwrap());
-
-        let mut sub = QueryBlockBuilder::new();
-        sub.add_table(TableId(1));
-        let sub = sub.build(&cat).unwrap();
-        let mut outer = QueryBlockBuilder::new();
-        outer.add_table(TableId(0));
-        outer.child(sub);
-        let nested = Query::new("n", outer.build(&cat).unwrap());
-        assert_ne!(fingerprint(&plain), fingerprint(&nested));
     }
 }

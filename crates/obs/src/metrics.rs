@@ -190,8 +190,7 @@ impl HistogramSnapshot {
     }
 }
 
-/// Hit/miss/eviction snapshot shared by every cache in the suite (the
-/// in-core `StatementCache` and the daemon's sharded statement cache).
+/// Hit/miss/eviction snapshot of the daemon's sharded statement cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.

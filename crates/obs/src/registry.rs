@@ -198,8 +198,8 @@ impl Registry {
 }
 
 /// The process-wide registry. Components that want their numbers visible in
-/// `cote metrics` (optimizer plan counters, estimator run counters, the
-/// statement-cache totals) register here; per-service registries stay
+/// `cote metrics` (optimizer plan counters, estimator run counters)
+/// register here; per-service registries stay
 /// independent so concurrent daemons and tests never share instruments.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();

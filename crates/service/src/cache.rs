@@ -8,9 +8,9 @@
 //! `WHERE a = 1` and `WHERE a = 2` share one entry whether they arrive as
 //! text or as built queries. Shards are independent
 //! `RwLock<LruCache>`s selected by the fingerprint's high bits; under N
-//! threads the lock held per operation covers 1/shards of the keyspace, and
-//! read-mostly traffic (hot statements) takes only read locks on the fast
-//! path via [`ShardedCache::peek`].
+//! threads the lock held per operation covers 1/shards of the keyspace.
+//! Every lookup ([`ShardedCache::get`]) takes its shard's write lock: a hit
+//! promotes the entry to most-recently-used.
 
 use crate::advisor::Advice;
 use cote_common::LruCache;
@@ -56,15 +56,6 @@ impl ShardedCache {
     /// True when nothing is cached anywhere.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Read-locked lookup that does not touch recency — the fast path.
-    pub fn peek(&self, fingerprint: u64) -> Option<Advice> {
-        self.shard(fingerprint)
-            .read()
-            .unwrap()
-            .peek(&fingerprint)
-            .cloned()
     }
 
     /// Write-locked lookup that promotes the entry to most-recently-used.
@@ -126,7 +117,6 @@ mod tests {
         let fp = 5u64.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let a = c.get(fp).expect("cached");
         assert_eq!(a.levels[0].0, 6);
-        assert!(c.peek(fp).is_some());
         c.clear();
         assert!(c.is_empty());
     }
