@@ -1,7 +1,9 @@
 //! §6.2 — optimizer memory-consumption estimation.
 //!
 //! MEMO memory is estimated from the interesting-property list lengths
-//! (× plan size) and compared with the memory the real MEMO retained.
+//! (× plan size) and compared with the memory the real MEMO retained, as
+//! modelled (kept plans × plan size) and as measured (arena nodes × node
+//! size: the estimate is a lower bound of that one).
 //!
 //! Usage: `memory_estimates [workload]` (default `star-s`).
 
@@ -19,6 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut t = TextTable::new(vec![
         "query",
         "actual KiB",
+        "arena KiB",
         "estimated KiB",
         "error",
         "estimator KiB",
@@ -36,6 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         t.row(vec![
             a.name.clone(),
             format!("{:.1}", act_bytes as f64 / 1024.0),
+            format!("{:.1}", cote::arena_bytes(&a.stats) as f64 / 1024.0),
             format!("{:.1}", est_bytes as f64 / 1024.0),
             format!("{:+.1}%", pct_err(est_bytes as f64, act_bytes as f64)),
             format!("{:.1}", estor_bytes as f64 / 1024.0),

@@ -249,6 +249,23 @@ mod tests {
         assert!(cal.training_error() < 2.0, "error {}", cal.training_error());
     }
 
+    /// The per-phase fit reads `stats.time`, which must be real seconds in
+    /// every build shape: filled from span self-times it was all zeros under
+    /// `obs-off`, and every statement was predicted to take 0 ms. CI runs
+    /// this crate's tests with `--features obs-off` for this test's sake.
+    #[test]
+    fn per_phase_fit_attributes_time_to_every_method() {
+        let cat = catalog(5);
+        let queries = [chain_query(&cat, 5, true, "chain5")];
+        let cfg = OptimizerConfig::high(Mode::Serial);
+        let cal = calibrate_per_phase(&[(&cat, &queries[..])], &cfg, 1).unwrap();
+        let m = cal.model;
+        assert!(
+            m.c_nljn > 0.0 && m.c_mgjn > 0.0 && m.c_hsjn > 0.0,
+            "a method was timed at zero: {m:?}"
+        );
+    }
+
     #[test]
     fn calibration_needs_enough_queries() {
         let cat = catalog(3);

@@ -75,7 +75,7 @@ pub use fingerprint::{fingerprint, StructuralHasher};
 pub use forecast::{forecast_workload, WorkloadForecast};
 pub use joincount::{count_joins, linear_join_count, star_join_count, JoinCountModel};
 pub use memory::{
-    actual_memory_bytes, estimate_memory, highest_level_within_budget, MemoryEstimate,
+    actual_memory_bytes, arena_bytes, estimate_memory, highest_level_within_budget, MemoryEstimate,
 };
 pub use mop::{MetaOptimizer, MopChoice, MopOutcome};
 pub use online::{OnlineConfig, OnlineRegressor};

@@ -45,6 +45,14 @@ pub fn actual_memory_bytes(stats: &CompileStats) -> u64 {
     stats.plans_kept * PLAN_BYTES
 }
 
+/// Measured plan-arena bytes: every node the optimizer stored (kept plans,
+/// plans kept for a while and then evicted, the wrappers under either) at
+/// the node's in-memory size — the number [`estimate_memory`] is a lower
+/// bound of. Heap spill of long order/partition values is not included.
+pub fn arena_bytes(stats: &CompileStats) -> u64 {
+    stats.plan_nodes * std::mem::size_of::<cote_optimizer::plan::PlanNode>() as u64
+}
+
 /// §6.2's gating decision: pick the highest optimization level (largest
 /// composite-inner limit among `limits`) whose estimated MEMO memory fits
 /// `budget_bytes` — "if it is already larger than the currently available

@@ -2,12 +2,14 @@
 //!
 //! Counts generated plans per join method and buckets wall-clock time by
 //! phase so the harness can print Fig. 2's breakdown and Fig. 4/5/6's
-//! actuals. The buckets are filled from `cote-obs` span self-times on the
-//! enumerator/plangen paths (see `plangen.rs`), and every finished block is
-//! [`publish`]ed to the global metrics registry as `optimizer_*` counters.
+//! actuals. The buckets are filled from the never-compiled-out
+//! [`Stopwatch`] ([`PhaseClock`] on the plangen paths) because they feed the
+//! calibrated time model like `elapsed` does; the `cote-obs` spans beside
+//! them only observe. Every finished block is [`publish`]ed to the global
+//! metrics registry as `optimizer_*` counters.
 
 use crate::properties::JoinMethod;
-use cote_obs::Counter;
+use cote_obs::{Counter, Stopwatch};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -65,7 +67,9 @@ pub struct PhaseTimes {
     pub mgjn: Duration,
     /// Generating HSJN plans.
     pub hsjn: Duration,
-    /// Inserting plans into MEMO lists and pruning ("plan saving").
+    /// Storing survivors ("plan saving"): allocating the node and the
+    /// wrappers under it, evicting what it dominates, the list push. A
+    /// loser is never stored; its dominance test is its method's time.
     pub saving: Duration,
     /// Access paths, enforcers, finalization ("other").
     pub other: Duration,
@@ -97,6 +101,30 @@ impl PhaseTimes {
     }
 }
 
+/// Functional clock over one stretch of work that belongs to a single
+/// [`PhaseTimes`] bucket: the wall time since `start`, minus what the
+/// survivor path charged to `saving` in between.
+pub(crate) struct PhaseClock {
+    started: Stopwatch,
+    saving_at_start: Duration,
+}
+
+impl PhaseClock {
+    pub(crate) fn start(stats: &CompileStats) -> Self {
+        PhaseClock {
+            started: Stopwatch::start(),
+            saving_at_start: stats.time.saving,
+        }
+    }
+
+    /// The stretch's own time; add it to its bucket.
+    pub(crate) fn stop(self, stats: &CompileStats) -> Duration {
+        self.started
+            .elapsed()
+            .saturating_sub(stats.time.saving - self.saving_at_start)
+    }
+}
+
 /// Full statistics of one compilation (or one block).
 #[derive(Debug, Default, Clone)]
 pub struct CompileStats {
@@ -113,10 +141,14 @@ pub struct CompileStats {
     /// Grouping plans generated (paper §3: "typically two group-by plans …
     /// for each aggregation").
     pub group_plans: u64,
-    /// Exchange (repartition/broadcast) nodes generated.
+    /// Exchange and ship wrappers priced (repartition/broadcast/ship); only
+    /// those under a surviving join become nodes.
     pub move_plans: u64,
     /// Plans surviving in MEMO lists at the end.
     pub plans_kept: u64,
+    /// Plan nodes stored in the arena at the end of the block (what §6.2's
+    /// "actual" memory is made of; `plans_kept` is what it models).
+    pub plan_nodes: u64,
     /// MEMO entries created.
     pub memo_entries: u64,
     /// Plans discarded by pilot-pass pruning (§6.1 ablation).
@@ -138,6 +170,7 @@ impl CompileStats {
         self.group_plans += other.group_plans;
         self.move_plans += other.move_plans;
         self.plans_kept += other.plans_kept;
+        self.plan_nodes += other.plan_nodes;
         self.memo_entries += other.memo_entries;
         self.pruned_by_pilot += other.pruned_by_pilot;
         self.time.add(&other.time);
@@ -168,6 +201,7 @@ struct BlockCounters {
     plans_hsjn: Arc<Counter>,
     scan_plans: Arc<Counter>,
     plans_kept: Arc<Counter>,
+    plan_nodes: Arc<Counter>,
     memo_entries: Arc<Counter>,
     pruned_by_pilot: Arc<Counter>,
 }
@@ -202,6 +236,10 @@ fn block_counters() -> &'static BlockCounters {
                 "optimizer_plans_kept_total",
                 "Plans surviving dominance pruning into the MEMO.",
             ),
+            plan_nodes: r.counter_with_help(
+                "optimizer_plan_nodes_total",
+                "Plan nodes stored in the arena (survivors, their wrappers, final operators).",
+            ),
             memo_entries: r
                 .counter_with_help("optimizer_memo_entries_total", "MEMO entries created."),
             pruned_by_pilot: r.counter_with_help(
@@ -224,6 +262,7 @@ pub fn publish(stats: &CompileStats) {
     c.plans_hsjn.add(stats.plans_generated.hsjn);
     c.scan_plans.add(stats.scan_plans);
     c.plans_kept.add(stats.plans_kept);
+    c.plan_nodes.add(stats.plan_nodes);
     c.memo_entries.add(stats.memo_entries);
     c.pruned_by_pilot.add(stats.pruned_by_pilot);
 }

@@ -89,8 +89,9 @@ impl Optimizer {
                 reason: "every join method is disabled".into(),
             });
         }
-        // Functional wall clock (feeds the calibrated time model) — kept
-        // separate from the compile span, which vanishes under `obs-off`.
+        // Functional wall clock: `elapsed` and the phase buckets feed the
+        // calibrated time model, so they are read off `Stopwatch`es — the
+        // spans beside them vanish under `obs-off`.
         let wall = Stopwatch::start();
         let mut root_span = Span::enter(phase::COMPILE);
         let ctx = OptContext::new(catalog, block, &self.config);
@@ -109,22 +110,26 @@ impl Optimizer {
         };
 
         let mut gen = RealPlanGen::new(pilot_bound);
+        let enum_clock = Stopwatch::start();
         let enum_span = Span::enter(phase::ENUMERATE);
         let outcome = if self.config.enum_threads > 1 {
             enumerate_par(&ctx, &FullCardinality, &mut gen, self.config.enum_threads)?
         } else {
             enumerate(&ctx, &FullCardinality, &mut gen)?
         };
-        // Enumeration skeleton = the span's self time: everything the phase
-        // buckets (nljn/mgjn/hsjn/save/scan/finalize child spans) did not
-        // absorb, with no hand-threaded subtraction.
-        let enum_time = enum_span.close();
+        enum_span.close();
+        // Enumeration skeleton = the walk's wall time the plangen buckets
+        // (nljn/mgjn/hsjn/saving/other) did not absorb. With worker threads
+        // those buckets sum thread time, so the remainder saturates at zero.
+        gen.stats.time.enumeration = enum_clock.elapsed().saturating_sub(gen.stats.time.total());
 
         // Finalization ("other"): apply GROUP BY / ORDER BY on the root.
+        let fin_clock = Stopwatch::start();
         let fin_span = Span::enter(phase::FINALIZE);
         let root_plans = outcome.memo.entry(outcome.root).payload.plans.clone();
         let (best, best_cost) = finalize_block(&ctx, &mut gen, &root_plans);
-        gen.stats.time.other += fin_span.close().self_time;
+        fin_span.close();
+        gen.stats.time.other += fin_clock.elapsed();
 
         let mut stats = gen.stats;
         stats.pairs_enumerated = outcome.pairs;
@@ -135,7 +140,7 @@ impl Optimizer {
             .iter()
             .map(|(_, e)| e.payload.plans.len() as u64)
             .sum();
-        stats.time.enumeration = enum_time.self_time;
+        stats.plan_nodes = gen.arena.len() as u64;
         stats.elapsed = wall.elapsed();
         root_span.record("plans_generated", stats.plans_generated.total());
         root_span.record("plans_kept", stats.plans_kept);
@@ -169,13 +174,7 @@ fn finalize_block(
     let cheapest_of = |arena: &PlanArena, plans: &[PlanId]| -> PlanId {
         *plans
             .iter()
-            .min_by(|&&a, &&b| {
-                arena
-                    .node(a)
-                    .total
-                    .partial_cmp(&arena.node(b).total)
-                    .expect("finite")
-            })
+            .min_by(|&&a, &&b| arena.node(a).total.total_cmp(&arena.node(b).total))
             .expect("root entry always keeps a plan")
     };
 
@@ -286,13 +285,7 @@ fn finalize_block(
             .iter()
             .copied()
             .filter(|&p| arena.node(p).props.order.satisfies(gb))
-            .min_by(|&a, &b| {
-                arena
-                    .node(a)
-                    .total
-                    .partial_cmp(&arena.node(b).total)
-                    .expect("finite")
-            })
+            .min_by(|&a, &b| arena.node(a).total.total_cmp(&arena.node(b).total))
             .unwrap_or_else(|| {
                 // Enforce the grouping order on the cheapest input.
                 let n = arena.node(cheapest);

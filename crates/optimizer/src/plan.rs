@@ -170,6 +170,64 @@ impl PlanProps {
     }
 }
 
+/// What pruning reads of a plan, borrowed: from a stored node
+/// ([`Candidate::of`]) or from values still on the stack, so a candidate can
+/// be pilot-checked and tested for dominance before any node — or the heap
+/// `Ordering`/`PartitionVal` of a [`PlanProps`] — exists for it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Candidate<'a> {
+    /// `cost.total()` of the plan.
+    pub total: f64,
+    /// Effective order property.
+    pub order: &'a Ordering,
+    /// Partition property (`None` in serial mode).
+    pub partition: Option<&'a PartitionVal>,
+    /// See [`PlanProps::pipelinable`].
+    pub pipelinable: bool,
+    /// See [`PlanProps::applied_expensive`].
+    pub applied_expensive: u16,
+    /// See [`PlanProps::site`].
+    pub site: u16,
+}
+
+impl<'a> Candidate<'a> {
+    /// The pruning view of a stored node.
+    pub(crate) fn of(node: &'a PlanNode) -> Self {
+        Candidate {
+            total: node.total,
+            order: &node.props.order,
+            partition: node.props.partition.as_ref(),
+            pipelinable: node.props.pipelinable,
+            applied_expensive: node.props.applied_expensive,
+            site: node.props.site,
+        }
+    }
+
+    /// `self` makes `other` redundant: it costs no more (a tie counts, so
+    /// of two equal plans the incumbent stays), its order satisfies
+    /// `other`'s (equal or more general), partition, applied-expensive mask
+    /// and site are identical, and it is at least as pipelinable.
+    pub(crate) fn dominates(&self, other: &Candidate<'_>) -> bool {
+        self.total <= other.total
+            && self.order.satisfies(other.order)
+            && self.partition == other.partition
+            && self.applied_expensive == other.applied_expensive
+            && self.site == other.site
+            && (self.pipelinable || !other.pipelinable)
+    }
+
+    /// Owned properties for a candidate that is to be stored.
+    pub(crate) fn to_props(self) -> PlanProps {
+        PlanProps {
+            order: self.order.clone(),
+            partition: self.partition.cloned(),
+            pipelinable: self.pipelinable,
+            applied_expensive: self.applied_expensive,
+            site: self.site,
+        }
+    }
+}
+
 /// One physical plan node.
 #[derive(Debug, Clone)]
 pub struct PlanNode {
@@ -230,8 +288,9 @@ impl PlanArena {
         }
     }
 
-    /// Number of nodes ever created (= plans generated and wired),
-    /// including the shared base of a fork.
+    /// Number of nodes *stored* — plans that survived pruning when they were
+    /// offered, the wrappers under them, eager SORTs and the root's final
+    /// operators; not plans generated — including the shared base of a fork.
     pub fn len(&self) -> usize {
         self.base_len as usize + self.local_len as usize
     }
@@ -402,6 +461,98 @@ mod tests {
         let p = leaf(&mut a, 0, 5.0);
         assert_eq!(a.len(), 1);
         assert_eq!(a.node(p).total, 5.0 * crate::cost::IO_WEIGHT);
+    }
+
+    #[test]
+    fn dominates_checks_each_of_its_six_clauses() {
+        let (ab, a, dc) = (
+            Ordering::seq(vec![1, 2]),
+            Ordering::seq(vec![1]),
+            Ordering::dc(),
+        );
+        let (h1, h2) = (PartitionVal::hash(vec![1]), PartitionVal::hash(vec![2]));
+        let base = Candidate {
+            total: 10.0,
+            order: &a,
+            partition: Some(&h1),
+            pipelinable: false,
+            applied_expensive: 0b01,
+            site: 0,
+        };
+        // (clause, the other plan, base dominates it, it dominates base)
+        let table = [
+            (
+                "identical: a cost tie keeps the incumbent",
+                base,
+                true,
+                true,
+            ),
+            ("cost", Candidate { total: 9.0, ..base }, false, true),
+            (
+                "order: more general wins",
+                Candidate { order: &ab, ..base },
+                false,
+                true,
+            ),
+            (
+                "order: DC is satisfied by all",
+                Candidate { order: &dc, ..base },
+                true,
+                false,
+            ),
+            (
+                "partition differs",
+                Candidate {
+                    partition: Some(&h2),
+                    ..base
+                },
+                false,
+                false,
+            ),
+            (
+                "partition absent",
+                Candidate {
+                    partition: None,
+                    ..base
+                },
+                false,
+                false,
+            ),
+            (
+                "expensive mask differs",
+                Candidate {
+                    applied_expensive: 0b11,
+                    ..base
+                },
+                false,
+                false,
+            ),
+            ("site differs", Candidate { site: 2, ..base }, false, false),
+            (
+                "pipelinable",
+                Candidate {
+                    pipelinable: true,
+                    ..base
+                },
+                false,
+                true,
+            ),
+        ];
+        for (clause, other, forward, backward) in table {
+            assert_eq!(base.dominates(&other), forward, "{clause}: base over other");
+            assert_eq!(
+                other.dominates(&base),
+                backward,
+                "{clause}: other over base"
+            );
+        }
+        // Cheaper does not excuse a missing order.
+        let cheap_dc = Candidate {
+            total: 1.0,
+            order: &dc,
+            ..base
+        };
+        assert!(!cheap_dc.dominates(&base));
     }
 
     #[test]

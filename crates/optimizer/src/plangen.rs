@@ -1,9 +1,9 @@
 //! Real plan generation: the mode COTE bypasses.
 //!
-//! For every join the enumerator produces, this visitor builds one plan per
-//! (input plan, partition alternative) combination per join method, costs it
-//! with the full histogram-walking cost model, and saves it into the MEMO
-//! with property-aware pruning. The paper's key empirical facts live here:
+//! For every join the enumerator produces, this visitor prices one plan per
+//! (input plan, partition alternative) combination per join method with the
+//! full histogram-walking cost model, and stores in the MEMO those that
+//! survive property-aware pruning. The paper's key empirical facts live here:
 //!
 //! * each plan in an input list carries a distinct property value, so the
 //!   number of NLJN plans per orientation tracks the input list length —
@@ -12,6 +12,22 @@
 //!   ("plan sharing", §5.2), which is why MGJN actuals undershoot estimates;
 //! * retired partitions stay on plans (they are physical), which is why the
 //!   estimator's separate retained lists undershoot in parallel mode (§3.4).
+//!
+//! Module invariants:
+//!
+//! 1. A plan is *priced* before it is built. Every insert site goes through
+//!    [`RealPlanGen::offer`]: pilot check, then one dominance scan, on a
+//!    borrowed [`Candidate`]; only a survivor gets a node and a `PlanProps`.
+//! 2. Counters count plans priced (`plans_generated`, `scan_plans`,
+//!    `sort_plans`, `move_plans`); the arena holds plans *stored* — survivors,
+//!    the exchange/ship wrappers under them, eager MGJN-inner SORTs.
+//! 3. A plan list is in insertion order of its survivors; ties in `cheapest`
+//!    and `*_reps` go to the earlier plan. Plan ids carry no meaning.
+//! 4. Cost arithmetic order is frozen: a deferred wrapper is priced and
+//!    later built by the same [`moved`], input cost first (`a.plus(&b)`).
+//! 5. `fork_level`/`absorb_level` keep worker order, so merged ids and list
+//!    contents are identical at any thread count.
+//! 6. Phase buckets come from `Stopwatch`, never from a span's return value.
 
 use crate::cardinality::column_histogram;
 use crate::context::OptContext;
@@ -20,16 +36,16 @@ use crate::cost::{
     table_scan, Cost, JoinCostInput, StreamStats,
 };
 use crate::enumerator::{JoinSite, JoinVisitor};
-use crate::instrument::CompileStats;
+use crate::instrument::{CompileStats, PhaseClock};
 use crate::memo::{EntryId, MemoEntry, MemoStore};
 use crate::par::ParallelJoinVisitor;
-use crate::plan::{PartStrategy, PlanArena, PlanId, PlanKind, PlanProps};
+use crate::plan::{Candidate, PartStrategy, PlanArena, PlanId, PlanKind, PlanProps};
 use crate::properties::order::{is_interesting, Ordering};
 use crate::properties::partition::PartitionVal;
 use crate::properties::JoinMethod;
 use cote_catalog::EquiDepthHistogram;
 use cote_common::{ColRef, TableRef, TableSet};
-use cote_obs::{phase, Span};
+use cote_obs::{phase, Span, Stopwatch};
 use cote_query::EqClasses;
 use std::sync::Arc;
 
@@ -75,6 +91,36 @@ struct OrientedJoin {
     out_stats: StreamStats,
 }
 
+/// Data movement a join input can sit under.
+#[derive(Debug, Clone, Copy)]
+enum Move {
+    Repartition,
+    Broadcast,
+    Ship,
+}
+
+/// A join input as priced: a stored plan and the movement it would sit
+/// under — an exchange (chosen by `wire`), then a ship to the local engine
+/// (the pushdown rule) — which exist only as `cost` until the join above
+/// them survives ([`RealPlanGen::materialize`]).
+#[derive(Debug, Clone, Copy)]
+struct Input {
+    plan: PlanId,
+    exchange: Option<Move>,
+    ship: bool,
+    /// Cumulative cost, priced movement included.
+    cost: Cost,
+}
+
+/// Cost of a stream after `mv`: the one copy of the wrappers' arithmetic.
+fn moved(ctx: &OptContext<'_>, cost: &Cost, stats: &StreamStats, mv: Move) -> Cost {
+    cost.plus(&match mv {
+        Move::Repartition => repartition_cost(stats, ctx.nodes),
+        Move::Broadcast => broadcast_cost(stats, ctx.nodes),
+        Move::Ship => cost::ship_cost(stats),
+    })
+}
+
 impl RealPlanGen {
     /// Fresh generator; `pilot_bound` enables §6.1 pruning.
     pub fn new(pilot_bound: Option<f64>) -> Self {
@@ -93,67 +139,43 @@ impl RealPlanGen {
     fn worker(&self, arena: PlanArena) -> Self {
         Self {
             arena,
-            stats: CompileStats::default(),
-            pilot_bound: self.pilot_bound,
-            level_base: None,
-            level_fork_base: 0,
-            level_deltas: Vec::new(),
+            ..Self::new(self.pilot_bound)
         }
     }
 
-    /// Insert with property-aware pruning; returns true if kept.
+    /// Offer a priced candidate to a plan list: pilot check (§6.1), then
+    /// property-aware pruning ([`Candidate::dominates`]). Only a survivor is
+    /// stored — `build` allocates its node (and whatever sits under it) —
+    /// and pushed, evicting the plans it dominates. Returns true if kept.
     ///
-    /// A plan `q` dominates `p` when it costs no more, its order satisfies
-    /// `p`'s (equal or more general), its partition is identical, and it is
-    /// at least as pipelinable.
-    fn try_insert(&mut self, list: &mut Vec<PlanId>, new: PlanId) -> bool {
-        let span = Span::enter(phase::SAVE);
-        let kept = {
-            let arena = &self.arena;
-            let n = arena.node(new);
-            let dominated = list.iter().any(|&q| {
-                let qn = arena.node(q);
-                qn.total <= n.total
-                    && qn.props.order.satisfies(&n.props.order)
-                    && qn.props.partition == n.props.partition
-                    && qn.props.applied_expensive == n.props.applied_expensive
-                    && qn.props.site == n.props.site
-                    && (qn.props.pipelinable || !n.props.pipelinable)
-            });
-            if dominated {
-                false
-            } else {
-                list.retain(|&q| {
-                    let qn = arena.node(q);
-                    !(n.total <= qn.total
-                        && n.props.order.satisfies(&qn.props.order)
-                        && n.props.partition == qn.props.partition
-                        && n.props.applied_expensive == qn.props.applied_expensive
-                        && n.props.site == qn.props.site
-                        && (n.props.pipelinable || !qn.props.pipelinable))
-                });
-                list.push(new);
-                true
-            }
-        };
-        self.stats.time.saving += span.close().self_time;
-        kept
-    }
-
-    /// Generated a plan: pilot-check it, then save into the joined entry.
-    ///
-    /// An entry's first plan is exempt from pilot pruning — the bound is a
+    /// A list's first plan is exempt from pilot pruning — the bound is a
     /// heuristic and must never leave an entry (and hence possibly the
     /// root) without any plan.
-    fn save<M: MemoStore<PlanList>>(&mut self, memo: &mut M, joined: EntryId, plan: PlanId) {
-        if !memo.entry(joined).payload.plans.is_empty()
-            && self.pilot_pruned(self.arena.node(plan).total)
-        {
-            return;
+    fn offer(
+        &mut self,
+        list: &mut Vec<PlanId>,
+        cand: Candidate<'_>,
+        build: impl FnOnce(&mut Self, PlanProps) -> PlanId,
+    ) -> bool {
+        debug_assert!(cand.total.is_finite(), "priced a non-finite plan");
+        if !list.is_empty() && self.pilot_pruned(cand.total) {
+            return false;
         }
-        let mut list = std::mem::take(&mut memo.payload_mut(joined).plans);
-        self.try_insert(&mut list, plan);
-        memo.payload_mut(joined).plans = list;
+        let arena = &self.arena;
+        if list
+            .iter()
+            .any(|&q| Candidate::of(arena.node(q)).dominates(&cand))
+        {
+            return false;
+        }
+        let clock = Stopwatch::start();
+        let span = Span::enter(phase::SAVE);
+        list.retain(|&q| !cand.dominates(&Candidate::of(arena.node(q))));
+        let id = build(self, cand.to_props());
+        list.push(id);
+        span.close();
+        self.stats.time.saving += clock.elapsed();
+        true
     }
 
     /// Discard plans above the pilot bound (§6.1). Returns true if pruned.
@@ -175,8 +197,7 @@ impl RealPlanGen {
                 self.arena
                     .node(a)
                     .total
-                    .partial_cmp(&self.arena.node(b).total)
-                    .expect("costs are finite")
+                    .total_cmp(&self.arena.node(b).total)
             })
             .expect("plan lists are never empty")
     }
@@ -239,117 +260,100 @@ impl RealPlanGen {
                 self.arena
                     .node(a)
                     .total
-                    .partial_cmp(&self.arena.node(b).total)
-                    .expect("finite")
+                    .total_cmp(&self.arena.node(b).total)
             })
     }
 
-    /// Wrap `plan` in a SORT producing `order`.
+    /// Price a SORT over `plan`.
+    fn sort_priced(&mut self, ctx: &OptContext<'_>, plan: PlanId) -> Cost {
+        let node = self.arena.node(plan);
+        self.stats.sort_plans += 1;
+        node.cost
+            .plus(&sort_cost(&node.stats, ctx.config.sort_pages))
+    }
+
+    /// Wrap `plan` in a SORT producing `order` (stored at once: the MGJN
+    /// inner it feeds is shared by every merge join of the orientation).
     fn sorted(&mut self, ctx: &OptContext<'_>, plan: PlanId, order: Ordering) -> PlanId {
-        let (cost, stats, partition, mask) = {
-            let node = self.arena.node(plan);
-            (
-                node.cost
-                    .plus(&sort_cost(&node.stats, ctx.config.sort_pages)),
-                node.stats,
-                node.props.partition.clone(),
-                node.props.applied_expensive,
-            )
-        };
-        let site = self.arena.node(plan).props.site;
+        let cost = self.sort_priced(ctx, plan);
+        let node = self.arena.node(plan);
         let props = PlanProps {
             order,
-            partition,
+            partition: node.props.partition.clone(),
             pipelinable: false,
-            applied_expensive: mask,
-            site,
+            applied_expensive: node.props.applied_expensive,
+            site: node.props.site,
         };
-        self.stats.sort_plans += 1;
+        let stats = node.stats;
         self.arena
             .add(PlanKind::Sort { input: plan }, props, cost, stats)
     }
 
-    /// Wrap `plan` in a hash repartition to `to` (order-preserving merge
-    /// receive: the order survives).
-    fn repartitioned(&mut self, ctx: &OptContext<'_>, plan: PlanId, to: &PartitionVal) -> PlanId {
-        let (cost, stats, order, pipe, mask) = {
-            let node = self.arena.node(plan);
-            (
-                node.cost.plus(&repartition_cost(&node.stats, ctx.nodes)),
-                node.stats,
-                node.props.order.clone(),
-                node.props.pipelinable,
-                node.props.applied_expensive,
-            )
+    /// Price `plan` as a join input under `exchange` (order-preserving merge
+    /// receive: order, pipelining and mask pass through every movement).
+    fn priced(&mut self, ctx: &OptContext<'_>, plan: PlanId, exchange: Option<Move>) -> Input {
+        let node = self.arena.node(plan);
+        let cost = match exchange {
+            Some(mv) => {
+                self.stats.move_plans += 1;
+                moved(ctx, &node.cost, &node.stats, mv)
+            }
+            None => node.cost,
         };
-        let site = self.arena.node(plan).props.site;
-        let props = PlanProps {
-            order,
-            partition: Some(to.clone()),
-            pipelinable: pipe,
-            applied_expensive: mask,
-            site,
-        };
-        self.stats.move_plans += 1;
-        self.arena
-            .add(PlanKind::Repartition { input: plan }, props, cost, stats)
-    }
-
-    /// Wrap `plan` in a broadcast.
-    fn broadcast(&mut self, ctx: &OptContext<'_>, plan: PlanId) -> PlanId {
-        let (cost, stats, order, pipe, mask) = {
-            let node = self.arena.node(plan);
-            (
-                node.cost.plus(&broadcast_cost(&node.stats, ctx.nodes)),
-                node.stats,
-                node.props.order.clone(),
-                node.props.pipelinable,
-                node.props.applied_expensive,
-            )
-        };
-        let site = self.arena.node(plan).props.site;
-        let props = PlanProps {
-            order,
-            partition: Some(PartitionVal::Replicated),
-            pipelinable: pipe,
-            applied_expensive: mask,
-            site,
-        };
-        self.stats.move_plans += 1;
-        self.arena
-            .add(PlanKind::Broadcast { input: plan }, props, cost, stats)
-    }
-
-    /// Ship a remote plan's output to the local engine (site 0); no-op for
-    /// local plans. Order survives (rows stream through one connection).
-    fn shipped_local(&mut self, plan: PlanId) -> PlanId {
-        let from_source = self.arena.node(plan).props.site;
-        if from_source == 0 {
-            return plan;
-        }
-        let (cost, stats, mut props) = {
-            let n = self.arena.node(plan);
-            (
-                n.cost.plus(&cost::ship_cost(&n.stats)),
-                n.stats,
-                n.props.clone(),
-            )
-        };
-        props.site = 0;
-        self.stats.move_plans += 1;
-        self.arena.add(
-            PlanKind::Ship {
-                input: plan,
-                from_source,
-            },
-            props,
+        Input {
+            plan,
+            exchange,
+            ship: false,
             cost,
-            stats,
-        )
+        }
+    }
+
+    /// Store the movement nodes a surviving join's input was priced with —
+    /// exchange to placement `pv`, then ship to the local engine (site 0) —
+    /// and return the input's top node.
+    fn materialize(
+        &mut self,
+        ctx: &OptContext<'_>,
+        input: Input,
+        pv: &Option<PartitionVal>,
+    ) -> PlanId {
+        let mut id = input.plan;
+        let ship = input.ship.then_some(Move::Ship);
+        for mv in input.exchange.into_iter().chain(ship) {
+            let node = self.arena.node(id);
+            let cost = moved(ctx, &node.cost, &node.stats, mv);
+            let stats = node.stats;
+            let mut props = node.props.clone();
+            let kind = match mv {
+                Move::Repartition => {
+                    props.partition = pv.clone();
+                    PlanKind::Repartition { input: id }
+                }
+                Move::Broadcast => {
+                    props.partition = Some(PartitionVal::Replicated);
+                    PlanKind::Broadcast { input: id }
+                }
+                Move::Ship => {
+                    let from_source = props.site;
+                    props.site = 0;
+                    PlanKind::Ship {
+                        input: id,
+                        from_source,
+                    }
+                }
+            };
+            id = self.arena.add(kind, props, cost, stats);
+        }
+        debug_assert_eq!(
+            self.arena.node(id).total.to_bits(),
+            input.cost.total().to_bits(),
+            "a wrapper was built at another cost than it was priced at"
+        );
+        id
     }
 
     /// Arrange data movement so the join executes under placement `pv`.
-    /// Returns the (possibly wrapped) outer and inner plus the strategy.
+    /// Returns the priced outer and inner plus the strategy.
     fn wire(
         &mut self,
         ctx: &OptContext<'_>,
@@ -358,98 +362,109 @@ impl RealPlanGen {
         pv: &Option<PartitionVal>,
         repart_both: bool,
         join_classes: &[u16],
-    ) -> (PlanId, PlanId, PartStrategy) {
+    ) -> (Input, Input, PartStrategy) {
         let Some(pv) = pv else {
-            return (outer_plan, inner_plan, PartStrategy::Colocated);
+            let o = self.priced(ctx, outer_plan, None);
+            let i = self.priced(ctx, inner_plan, None);
+            return (o, i, PartStrategy::Colocated);
         };
         if repart_both {
-            let o = self.repartitioned(ctx, outer_plan, pv);
-            let i = self.repartitioned(ctx, inner_plan, pv);
+            let o = self.priced(ctx, outer_plan, Some(Move::Repartition));
+            let i = self.priced(ctx, inner_plan, Some(Move::Repartition));
             return (o, i, PartStrategy::RepartitionBoth);
         }
-        let o = if self.arena.node(outer_plan).props.partition.as_ref() == Some(pv) {
-            outer_plan
-        } else {
-            // Synthesize the (order, partition) combination by exchanging.
-            self.repartitioned(ctx, outer_plan, pv)
-        };
+        // A mismatched outer synthesizes the (order, partition) combination
+        // by exchanging.
+        let outer_matches = self.arena.node(outer_plan).props.partition.as_ref() == Some(pv);
+        let o = self.priced(
+            ctx,
+            outer_plan,
+            (!outer_matches).then_some(Move::Repartition),
+        );
         let inner_part = &self.arena.node(inner_plan).props.partition;
         let inner_matches =
             inner_part.as_ref() == Some(pv) || matches!(inner_part, Some(PartitionVal::Replicated));
-        if inner_matches {
-            (o, inner_plan, PartStrategy::Colocated)
+        let (exchange, strategy) = if inner_matches {
+            (None, PartStrategy::Colocated)
         } else if pv
             .key_cols()
             .is_some_and(|cols| cols.iter().all(|c| join_classes.contains(c)))
         {
-            let i = self.repartitioned(ctx, inner_plan, pv);
-            (o, i, PartStrategy::RepartitionInner)
+            (Some(Move::Repartition), PartStrategy::RepartitionInner)
         } else {
-            let i = self.broadcast(ctx, inner_plan);
-            (o, i, PartStrategy::BroadcastInner)
-        }
+            (Some(Move::Broadcast), PartStrategy::BroadcastInner)
+        };
+        (o, self.priced(ctx, inner_plan, exchange), strategy)
     }
 
-    /// Build, count and save one join plan.
+    /// Wire, price and count one join plan of `oj` under the partition
+    /// alternative `alt`, and offer it to the joined entry.
     #[allow(clippy::too_many_arguments)]
     fn emit_join<M: MemoStore<PlanList>>(
         &mut self,
         ctx: &OptContext<'_>,
         memo: &mut M,
         joined: EntryId,
-        method: JoinMethod,
-        outer: PlanId,
-        inner: PlanId,
-        strategy: PartStrategy,
-        order: Ordering,
-        pv: &Option<PartitionVal>,
+        oj: &OrientedJoin,
         hists: (&EquiDepthHistogram, &EquiDepthHistogram),
-        out_stats: StreamStats,
+        method: JoinMethod,
+        outer_plan: PlanId,
+        inner_plan: PlanId,
+        order: Ordering,
+        (pv, repart_both): &(Option<PartitionVal>, bool),
     ) {
-        let (o_pipe, o_mask) = {
-            let n = self.arena.node(outer);
-            (n.props.pipelinable, n.props.applied_expensive)
+        let (mut outer, mut inner, strategy) = self.wire(
+            ctx,
+            outer_plan,
+            inner_plan,
+            pv,
+            *repart_both,
+            &oj.join_classes,
+        );
+        let side = |n: &crate::plan::PlanNode| {
+            (
+                n.props.pipelinable,
+                n.props.applied_expensive,
+                n.props.site,
+                n.stats,
+            )
         };
-        let (i_pipe, i_mask) = {
-            let n = self.arena.node(inner);
-            (n.props.pipelinable, n.props.applied_expensive)
-        };
+        let (o_pipe, o_mask, o_site, o_stats) = side(self.arena.node(outer.plan));
+        let (i_pipe, i_mask, i_site, i_stats) = side(self.arena.node(inner.plan));
         let mask = o_mask | i_mask;
         // Data-source pushdown (Table 1): a join of two subplans at the same
         // remote source executes there; differing sites ship to the local
-        // engine first.
-        let (outer, inner, site) = {
-            let so = self.arena.node(outer).props.site;
-            let si = self.arena.node(inner).props.site;
-            if so == si {
-                (outer, inner, so)
-            } else {
-                (self.shipped_local(outer), self.shipped_local(inner), 0)
+        // engine first (a no-op for a side that is already local).
+        let site = if o_site == i_site {
+            o_site
+        } else {
+            for (input, from, stats) in [
+                (&mut outer, o_site, &o_stats),
+                (&mut inner, i_site, &i_stats),
+            ] {
+                if from != 0 {
+                    self.stats.move_plans += 1;
+                    input.ship = true;
+                    input.cost = moved(ctx, &input.cost, stats, Move::Ship);
+                }
             }
-        };
-        let (o_stats, o_cost) = {
-            let n = self.arena.node(outer);
-            (n.stats, n.cost)
-        };
-        let (i_stats, i_cost) = {
-            let n = self.arena.node(inner);
-            (n.stats, n.cost)
+            0
         };
         // Applied expensive predicates shrink this plan's output relative to
         // the (mask-free) MEMO cardinality.
         let out_stats = if mask == 0 {
-            out_stats
+            oj.out_stats
         } else {
             StreamStats::of(
-                out_stats.rows * ctx.block.expensive_selectivity(mask),
-                out_stats.row_bytes,
+                oj.out_stats.rows * ctx.block.expensive_selectivity(mask),
+                oj.out_stats.row_bytes,
             )
         };
         let input = JoinCostInput {
             outer: o_stats,
             inner: i_stats,
-            outer_cost: o_cost,
-            inner_cost: i_cost,
+            outer_cost: outer.cost,
+            inner_cost: inner.cost,
             outer_hist: hists.0,
             inner_hist: hists.1,
             buffer_pages: ctx.config.buffer_pages,
@@ -461,25 +476,25 @@ impl RealPlanGen {
             JoinMethod::Hsjn => (hsjn_cost(&input), false),
         };
         *self.stats.plans_generated.get_mut(method) += 1;
-        let props = PlanProps {
-            order,
-            partition: pv.clone(),
+        let cand = Candidate {
+            total: c.total(),
+            order: &order,
+            partition: pv.as_ref(),
             pipelinable,
             applied_expensive: mask,
             site,
         };
-        let id = self.arena.add(
-            PlanKind::Join {
+        self.offer(&mut memo.payload_mut(joined).plans, cand, |gen, props| {
+            let outer = gen.materialize(ctx, outer, pv);
+            let inner = gen.materialize(ctx, inner, pv);
+            let kind = PlanKind::Join {
                 method,
                 outer,
                 inner,
                 strategy,
-            },
-            props,
-            c,
-            out_stats,
-        );
-        self.save(memo, joined, id);
+            };
+            gen.arena.add(kind, props, c, out_stats)
+        });
     }
 
     /// Extract all inputs of one oriented join from the MEMO.
@@ -657,6 +672,7 @@ impl JoinVisitor for RealPlanGen {
         core: &MemoEntry<()>,
         t: TableRef,
     ) -> PlanList {
+        let clock = PhaseClock::start(&self.stats);
         let span = Span::enter(phase::SCAN);
         let table = ctx.catalog.table(ctx.block.table(t));
         let row_bytes = table.avg_row_bytes();
@@ -760,22 +776,22 @@ impl JoinVisitor for RealPlanGen {
                         StreamStats::of(core.cardinality * exp_sel, row_bytes),
                     )
                 };
-                let props = PlanProps {
-                    order: order.clone(),
-                    partition: natural_part.clone(),
+                let cand = Candidate {
+                    total: c.total(),
+                    order: &order,
+                    partition: natural_part.as_ref(),
                     pipelinable: pipeline,
                     applied_expensive: mask,
                     site,
                 };
                 self.stats.scan_plans += 1;
-                let id = self.arena.add(kind.clone(), props, c, stats);
-                if list.plans.is_empty() || !self.pilot_pruned(self.arena.node(id).total) {
-                    self.try_insert(&mut list.plans, id);
-                }
+                self.offer(&mut list.plans, cand, |gen, props| {
+                    gen.arena.add(kind.clone(), props, c, stats)
+                });
             }
         }
-        // Self time only: nested `save` spans already fill the saving bucket.
-        self.stats.time.other += span.close().self_time;
+        span.close();
+        self.stats.time.other += clock.stop(&self.stats);
         list
     }
 
@@ -830,6 +846,7 @@ impl JoinVisitor for RealPlanGen {
 
             // ---------------- NLJN ----------------
             if methods.nljn {
+                let clock = PhaseClock::start(&self.stats);
                 let mut span = Span::enter(phase::NLJN);
                 let before = self.stats.plans_generated.nljn;
                 // The DB2 oversight (§5.2): extra plans for subsumed orders.
@@ -851,59 +868,49 @@ impl JoinVisitor for RealPlanGen {
                 } else {
                     Vec::new()
                 };
-                for (pv, repart_both) in &pvs {
+                for alt in &pvs {
                     for &outer_plan in &outer_reps {
                         for &inner_plan in &inner_mask_reps {
                             let raw = self.arena.node(outer_plan).props.order.clone();
                             let order = effective_order(ctx, &raw, &oj.j_eq, &oj.j_boundary);
-                            let (o, i, strategy) = self.wire(
-                                ctx,
-                                outer_plan,
-                                inner_plan,
-                                pv,
-                                *repart_both,
-                                &oj.join_classes,
-                            );
                             self.emit_join(
                                 ctx,
                                 memo,
                                 site.joined,
-                                JoinMethod::Nljn,
-                                o,
-                                i,
-                                strategy,
-                                order,
-                                pv,
+                                &oj,
                                 hists,
-                                oj.out_stats,
+                                JoinMethod::Nljn,
+                                outer_plan,
+                                inner_plan,
+                                order,
+                                alt,
                             );
                         }
                     }
                     for (p1, o2) in &redundant {
                         let order = effective_order(ctx, o2, &oj.j_eq, &oj.j_boundary);
-                        let (o, i, strategy) =
-                            self.wire(ctx, *p1, inner_cheapest, pv, *repart_both, &oj.join_classes);
                         self.emit_join(
                             ctx,
                             memo,
                             site.joined,
-                            JoinMethod::Nljn,
-                            o,
-                            i,
-                            strategy,
-                            order,
-                            pv,
+                            &oj,
                             hists,
-                            oj.out_stats,
+                            JoinMethod::Nljn,
+                            *p1,
+                            inner_cheapest,
+                            order,
+                            alt,
                         );
                     }
                 }
                 span.record("plans", self.stats.plans_generated.nljn - before);
-                self.stats.time.nljn += span.close().self_time;
+                span.close();
+                self.stats.time.nljn += clock.stop(&self.stats);
             }
 
             // ---------------- MGJN ----------------
             if methods.mgjn && !oj.mgjn_reqs.is_empty() {
+                let clock = PhaseClock::start(&self.stats);
                 let mut span = Span::enter(phase::MGJN);
                 let before = self.stats.plans_generated.mgjn;
                 for (o_req, i_req) in &oj.mgjn_reqs {
@@ -929,73 +936,58 @@ impl JoinVisitor for RealPlanGen {
                         .copied()
                         .filter(|&p| self.arena.node(p).props.order.satisfies(o_req))
                         .collect();
-                    for (pv, repart_both) in &pvs {
+                    for alt in &pvs {
                         for &outer_plan in &satisfying {
                             for &inner_plan in &inner_sorted {
                                 let raw = self.arena.node(outer_plan).props.order.clone();
                                 let order = effective_order(ctx, &raw, &oj.j_eq, &oj.j_boundary);
-                                let (o, i, strategy) = self.wire(
-                                    ctx,
-                                    outer_plan,
-                                    inner_plan,
-                                    pv,
-                                    *repart_both,
-                                    &oj.join_classes,
-                                );
                                 self.emit_join(
                                     ctx,
                                     memo,
                                     site.joined,
-                                    JoinMethod::Mgjn,
-                                    o,
-                                    i,
-                                    strategy,
-                                    order,
-                                    pv,
+                                    &oj,
                                     hists,
-                                    oj.out_stats,
+                                    JoinMethod::Mgjn,
+                                    outer_plan,
+                                    inner_plan,
+                                    order,
+                                    alt,
                                 );
                             }
                         }
                     }
                 }
                 span.record("plans", self.stats.plans_generated.mgjn - before);
-                self.stats.time.mgjn += span.close().self_time;
+                span.close();
+                self.stats.time.mgjn += clock.stop(&self.stats);
             }
 
             // ---------------- HSJN ----------------
             if methods.hsjn {
+                let clock = PhaseClock::start(&self.stats);
                 let mut span = Span::enter(phase::HSJN);
                 let before = self.stats.plans_generated.hsjn;
-                for (pv, repart_both) in &pvs {
+                for alt in &pvs {
                     for &outer_plan in &outer_mask_reps {
                         for &inner_plan in &inner_mask_reps {
-                            let (o, i, strategy) = self.wire(
-                                ctx,
-                                outer_plan,
-                                inner_plan,
-                                pv,
-                                *repart_both,
-                                &oj.join_classes,
-                            );
                             self.emit_join(
                                 ctx,
                                 memo,
                                 site.joined,
-                                JoinMethod::Hsjn,
-                                o,
-                                i,
-                                strategy,
-                                Ordering::dc(),
-                                pv,
+                                &oj,
                                 hists,
-                                oj.out_stats,
+                                JoinMethod::Hsjn,
+                                outer_plan,
+                                inner_plan,
+                                Ordering::dc(),
+                                alt,
                             );
                         }
                     }
                 }
                 span.record("plans", self.stats.plans_generated.hsjn - before);
-                self.stats.time.hsjn += span.close().self_time;
+                span.close();
+                self.stats.time.hsjn += clock.stop(&self.stats);
             }
         }
     }
@@ -1009,6 +1001,7 @@ impl JoinVisitor for RealPlanGen {
         if !ctx.config.eager_orders {
             return;
         }
+        let clock = PhaseClock::start(&self.stats);
         let span = Span::enter(phase::FINALIZE);
         // Eager enforcement (§4 item 1): force each applicable interesting
         // order that no kept plan provides.
@@ -1042,10 +1035,24 @@ impl JoinVisitor for RealPlanGen {
                 continue;
             }
             let cheapest = self.cheapest(&memo.entry(id).payload.plans);
-            let sorted = self.sorted(ctx, cheapest, target);
-            self.save(memo, id, sorted);
+            let cost = self.sort_priced(ctx, cheapest);
+            let node = self.arena.node(cheapest);
+            let (partition, stats) = (node.props.partition.clone(), node.stats);
+            let cand = Candidate {
+                total: cost.total(),
+                order: &target,
+                partition: partition.as_ref(),
+                pipelinable: false,
+                applied_expensive: node.props.applied_expensive,
+                site: node.props.site,
+            };
+            self.offer(&mut memo.payload_mut(id).plans, cand, |gen, props| {
+                gen.arena
+                    .add(PlanKind::Sort { input: cheapest }, props, cost, stats)
+            });
         }
-        self.stats.time.other += span.close().self_time;
+        span.close();
+        self.stats.time.other += clock.stop(&self.stats);
     }
 }
 
@@ -1106,6 +1113,22 @@ mod tests {
                 ],
             ));
             b.add_index(IndexDef::new(t, vec![0]).clustered());
+        }
+        b.build().unwrap()
+    }
+
+    /// Hash-partitioned tables on four nodes, no indexes.
+    fn parallel_catalog(n: usize) -> Catalog {
+        let mut b = Catalog::builder_parallel(cote_catalog::NodeGroup::new(4));
+        for i in 0..n {
+            b.add_table(TableDef::new(
+                format!("t{i}"),
+                5000.0,
+                vec![
+                    ColumnDef::uniform("c0", 5000.0, 500.0),
+                    ColumnDef::uniform("c1", 5000.0, 100.0),
+                ],
+            ));
         }
         b.build().unwrap()
     }
@@ -1247,18 +1270,7 @@ mod tests {
 
     #[test]
     fn parallel_mode_generates_more_plans_than_serial() {
-        let mut b = Catalog::builder_parallel(cote_catalog::NodeGroup::new(4));
-        for i in 0..3 {
-            b.add_table(TableDef::new(
-                format!("t{i}"),
-                5000.0,
-                vec![
-                    ColumnDef::uniform("c0", 5000.0, 500.0),
-                    ColumnDef::uniform("c1", 5000.0, 100.0),
-                ],
-            ));
-        }
-        let pcat = b.build().unwrap();
+        let pcat = parallel_catalog(3);
         let block = chain(&pcat, 3, false);
         let (gp, _) = optimize(&pcat, &block, &OptimizerConfig::high(Mode::Parallel));
         let (gs, _) = optimize(&pcat, &block, &OptimizerConfig::high(Mode::Serial));
@@ -1269,6 +1281,69 @@ mod tests {
             gs.stats.plans_generated.total()
         );
         assert!(gp.stats.move_plans > 0, "exchanges were wired");
+    }
+
+    /// Compile a two-table chain, then replay its one join site under pilot
+    /// bound `bound`: every replayed candidate is pruned, equals an incumbent
+    /// (a cost tie: the incumbent stays) or loses to one, so nothing may be
+    /// stored. Returns the stats before and after the replay.
+    fn replay_root_join(
+        cat: &Catalog,
+        mode: Mode,
+        bound: Option<f64>,
+    ) -> (CompileStats, CompileStats) {
+        let block = chain(cat, 2, true);
+        let cfg = OptimizerConfig::high(mode);
+        let ctx = OptContext::new(cat, &block, &cfg);
+        let mut gen = RealPlanGen::new(None);
+        let mut out = enumerate(&ctx, &FullCardinality, &mut gen).expect("optimizes");
+        let entry = |t| out.memo.id_of(TableSet::singleton(TableRef(t))).unwrap();
+        let site = JoinSite {
+            a: entry(0),
+            b: entry(1),
+            joined: out.root,
+            preds: [0].into_iter().collect(),
+            a_outer_ok: true,
+            b_outer_ok: true,
+        };
+        let (nodes, before) = (gen.arena.len(), gen.stats.clone());
+        let kept = out.memo.entry(out.root).payload.plans.clone();
+        gen.pilot_bound = bound;
+        gen.on_join(&ctx, &mut out.memo, &site);
+        // Only the MGJN inner's eager SORTs may be new nodes.
+        assert_eq!(
+            (gen.arena.len() - nodes) as u64,
+            gen.stats.sort_plans - before.sort_plans,
+            "{mode:?}: a loser, or an exchange priced under one, was allocated"
+        );
+        let root = out.memo.entry(out.root);
+        assert_eq!(root.payload.plans, kept, "{mode:?}: an incumbent moved");
+        (before, gen.stats)
+    }
+
+    #[test]
+    fn a_losing_candidate_is_counted_but_never_stored() {
+        for (cat, mode) in [
+            (catalog(2), Mode::Serial),
+            (parallel_catalog(2), Mode::Parallel),
+        ] {
+            let (before, after) = replay_root_join(&cat, mode, None);
+            assert!(after.plans_generated.total() > before.plans_generated.total());
+            assert_eq!(after.pruned_by_pilot, 0);
+            if mode == Mode::Parallel {
+                assert!(after.move_plans > before.move_plans, "exchanges priced");
+            }
+        }
+    }
+
+    #[test]
+    fn a_pilot_pruned_candidate_allocates_nothing() {
+        // A bound below every join plan: the root list is non-empty, so every
+        // replayed candidate is pruned before its dominance test.
+        let (before, after) = replay_root_join(&catalog(2), Mode::Serial, Some(0.0));
+        let replayed = after.plans_generated.total() - before.plans_generated.total();
+        assert!(replayed > 0);
+        assert_eq!(after.pruned_by_pilot, replayed);
     }
 
     #[test]

@@ -90,25 +90,74 @@ fn forecast_orders_workloads_by_size() {
     );
 }
 
-#[test]
-fn memory_estimates_track_actuals_on_a_workload() {
-    let w = by_name("real1-s").unwrap();
+/// §6.2 over one workload: (estimated MEMO bytes, modelled actual = kept
+/// plans × plan size, measured arena bytes), each summed over its queries.
+fn memory_sums(workload: &str) -> (u64, u64, u64) {
+    let w = by_name(workload).unwrap();
     let cfg = OptimizerConfig::high(w.mode);
     let opt = Optimizer::new(cfg.clone());
-    let (mut est_sum, mut act_sum) = (0u64, 0u64);
+    let (mut est, mut actual, mut arena) = (0u64, 0u64, 0u64);
     for q in &w.queries {
         for block in q.blocks() {
             let e = estimate_block(&w.catalog, block, &cfg, &EstimateOptions::default()).unwrap();
-            est_sum += estimate_memory(&e).estimated_bytes;
+            est += estimate_memory(&e).estimated_bytes;
         }
         let r = opt.optimize_query(&w.catalog, q).unwrap();
-        act_sum += cote::actual_memory_bytes(&r.stats);
+        actual += cote::actual_memory_bytes(&r.stats);
+        arena += cote::arena_bytes(&r.stats);
     }
+    (est, actual, arena)
+}
+
+#[test]
+fn memory_estimates_track_actuals_on_a_workload() {
+    let (est_sum, act_sum, _) = memory_sums("real1-s");
     let ratio = est_sum as f64 / act_sum as f64;
     assert!(
         (0.4..=2.5).contains(&ratio),
         "memory estimate in range: ratio {ratio}"
     );
+}
+
+#[test]
+fn memory_estimate_is_a_lower_bound_of_the_arena() {
+    // §6.2: "Note that this is a lower bound" — of what the optimizer really
+    // allocates: every stored node, not only the plans still kept at the end.
+    let (est_sum, _, arena_sum) = memory_sums("star-s");
+    assert!(
+        est_sum <= arena_sum,
+        "estimate {est_sum} B above the measured arena {arena_sum} B"
+    );
+}
+
+/// Losers are never built: the arena holds the plans that were kept when
+/// offered (some evicted later), their wrappers and a few enforcers — a
+/// small multiple of `plans_kept`, not `plans_generated` (12–50× larger).
+#[test]
+fn arena_stays_within_four_nodes_per_kept_plan() {
+    let mut sets = vec![
+        "linear-s", "star-s", "cycle-s", "random-s", "tpch-s", "real1-s",
+    ];
+    // real2_q09 alone is minutes of unoptimized code; release runs (the CI
+    // `oracles` job) cover it.
+    if !cfg!(debug_assertions) {
+        sets.push("real2-s");
+    }
+    for name in sets {
+        let w = by_name(name).unwrap();
+        let opt = Optimizer::new(OptimizerConfig::high(w.mode));
+        let mut stats = cote_optimizer::CompileStats::default();
+        for q in &w.queries {
+            stats.add(&opt.optimize_query(&w.catalog, q).unwrap().stats);
+        }
+        assert!(
+            stats.plan_nodes <= 4 * stats.plans_kept,
+            "{name}: {} nodes for {} kept plans ({} generated)",
+            stats.plan_nodes,
+            stats.plans_kept,
+            stats.plans_generated.total()
+        );
+    }
 }
 
 #[test]

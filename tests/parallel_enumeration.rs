@@ -188,6 +188,64 @@ fn layout_matches_pre_refactor_goldens() {
     );
 }
 
+/// Exchange and ship wrappers are priced for every candidate but stored only
+/// under a surviving join: on the parallel-mode sets, at every thread count,
+/// the priced counts equal the eager-allocation era's (constants read off
+/// the commit before wrappers were deferred), no stored wrapper is an orphan,
+/// and the arena holds the same number of nodes whatever the thread count.
+#[test]
+fn deferred_wrappers_keep_their_counts_and_leave_no_orphans() {
+    use cote_optimizer::PlanKind;
+    for (name, move_plans, sort_plans) in [("tpch-p", 45_801, 38), ("random-p", 119_126, 70)] {
+        let w = cote_workloads::by_name(name).unwrap();
+        let mut nodes_at_1 = None;
+        for t in THREADS {
+            let opt = Optimizer::new(OptimizerConfig::high(w.mode).with_enum_threads(t));
+            let mut stats = cote_optimizer::CompileStats::default();
+            for q in &w.queries {
+                let r = opt.optimize_query(&w.catalog, q).unwrap();
+                stats.add(&r.stats);
+                for b in &r.blocks {
+                    assert_eq!(b.stats.plan_nodes, b.arena.len() as u64);
+                    let ids = || (0..b.arena.len() as u32).map(cote_optimizer::PlanId);
+                    // A join's inputs, and the exchange a ship sits on.
+                    let mut under_a_join = vec![false; b.arena.len()];
+                    for id in ids() {
+                        if let PlanKind::Join { outer, inner, .. } = b.arena.node(id).kind {
+                            for side in [outer, inner] {
+                                under_a_join[side.0 as usize] = true;
+                                if let PlanKind::Ship { input, .. } = b.arena.node(side).kind {
+                                    under_a_join[input.0 as usize] = true;
+                                }
+                            }
+                        }
+                    }
+                    for id in ids() {
+                        let wrapper = matches!(
+                            b.arena.node(id).kind,
+                            PlanKind::Repartition { .. }
+                                | PlanKind::Broadcast { .. }
+                                | PlanKind::Ship { .. }
+                        );
+                        assert!(
+                            !wrapper || under_a_join[id.0 as usize],
+                            "{}: orphan wrapper {id:?} at {t} threads",
+                            q.name
+                        );
+                    }
+                }
+            }
+            assert_eq!(stats.move_plans, move_plans, "{name} at {t} threads");
+            assert_eq!(stats.sort_plans, sort_plans, "{name} at {t} threads");
+            assert_eq!(
+                *nodes_at_1.get_or_insert(stats.plan_nodes),
+                stats.plan_nodes,
+                "{name}: plan_nodes at {t} threads"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
