@@ -4,42 +4,31 @@
 //! other 8% — "more than 90% of the time is either directly or indirectly
 //! spent on generating and saving join plans".
 //!
-//! The breakdown is rebuilt from real `cote-obs` spans: a [`PhaseProfiler`]
-//! hooks every span close during compilation and aggregates self time per
-//! phase, so the percentages come from the same span tree that the JSONL
-//! trace export sees (no hand-threaded `Duration` fields).
+//! The breakdown sums `CompileStats::time` — the per-phase clock the §3.5
+//! time model is calibrated from — and `CompileStats::elapsed` over the
+//! workload, so the figure and the `C_t` fit read the same numbers.
 //!
 //! Usage: `fig2_breakdown [workload]` (default `real2-s`).
 
 use cote_bench::{compile_workload, table::TextTable, workload_arg};
-use cote_obs::{phase, PhaseProfiler};
-use cote_optimizer::OptimizerConfig;
+use cote_optimizer::{CompileStats, OptimizerConfig};
 use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let w = workload_arg("real2-s")?;
     let config = OptimizerConfig::high(w.mode);
     eprintln!("compiling {} ({} queries)...", w.name, w.queries.len());
-    let prof = PhaseProfiler::install();
     let runs = compile_workload(&w, &config, 1)?;
-    let agg = prof.finish();
-
-    let self_of = |p: &str| agg.get(p).map_or(Duration::ZERO, |a| a.self_time);
-    let elapsed = agg.get(phase::COMPILE).map_or(Duration::ZERO, |a| a.total);
-    if elapsed.is_zero() {
-        eprintln!("no compile spans recorded (obs-off build?) — nothing to break down");
-        return Ok(());
+    let mut total = CompileStats::default();
+    for r in &runs {
+        total.add(&r.stats);
     }
-    // Self times are disjoint across the span tree, so the buckets below
-    // partition the compile wall clock exactly.
-    let mgjn = self_of(phase::MGJN);
-    let nljn = self_of(phase::NLJN);
-    let hsjn = self_of(phase::HSJN);
-    let saving = self_of(phase::SAVE);
-    let other = self_of(phase::ENUMERATE)
-        + self_of(phase::SCAN)
-        + self_of(phase::FINALIZE)
-        + self_of(phase::COMPILE);
+    let (time, elapsed) = (total.time, total.elapsed);
+    // The buckets are disjoint and, in serial mode, sum to at most
+    // `elapsed`; what they leave over (the pilot pass, context setup) is
+    // "other", so the rows partition the compile wall clock.
+    let (mgjn, nljn, hsjn, saving) = (time.mgjn, time.nljn, time.hsjn, time.saving);
+    let other = time.enumeration + time.other + elapsed.saturating_sub(time.total());
     let pct = |d: Duration| 100.0 * d.as_secs_f64() / elapsed.as_secs_f64();
 
     println!("\nFigure 2 — compilation time breakdown ({})", w.name);
@@ -73,10 +62,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let join_related = pct(mgjn) + pct(nljn) + pct(hsjn) + pct(saving);
     println!(
         "\njoin-plan generation + saving: {join_related:.1}% (paper: >90%)\n\
-         total compile time: {:.3}s over {} queries ({} spans profiled)",
+         total compile time: {:.3}s over {} queries",
         elapsed.as_secs_f64(),
-        runs.len(),
-        agg.values().map(|a| a.count).sum::<u64>()
+        runs.len()
     );
     Ok(())
 }

@@ -447,14 +447,9 @@ fn warm_backends(cluster: &Cluster) -> Result<(), String> {
 }
 
 /// Run one scenario end to end. Errors are harness failures (cannot bind,
-/// oracle not clean, built with `chaos-off`); invariant *violations* are
-/// data, reported in the returned [`ChaosReport`].
+/// oracle not clean); invariant *violations* are data, reported in the
+/// returned [`ChaosReport`].
 pub fn run(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
-    if !failpoint::compiled_in() {
-        return Err(
-            "fault injection is compiled out (chaos-off); rebuild without the feature".into(),
-        );
-    }
     failpoint::disarm();
     failpoint::clear();
 

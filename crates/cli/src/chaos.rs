@@ -92,7 +92,7 @@ fn parse_args(args: &[String]) -> Result<ChaosConfig> {
 }
 
 /// `cote chaos --seed N --scenario <name>` — nonzero exit on any invariant
-/// violation (or when built with `chaos-off`).
+/// violation.
 pub fn run(args: &[String]) -> Result<()> {
     let cfg = parse_args(args)?;
     let report = run_scenario(&cfg).map_err(|e| bad(format!("chaos harness: {e}")))?;

@@ -139,7 +139,6 @@ fn class_of(q: &Query) -> QueryClass {
 /// length-capped splitter, so no input can allocate unboundedly.
 pub fn serve(args: &[String]) -> Result<()> {
     let mut a = parse_args(args)?;
-    cote_obs::set_tracing(a.trace.is_some());
     let mut tracer = match &a.trace {
         Some(path) => Some(
             cote_obs::BoundedTraceWriter::create(path, a.trace_max_bytes)
@@ -148,6 +147,8 @@ pub fn serve(args: &[String]) -> Result<()> {
         None => None,
     };
     let svc = Arc::new(start_service(&a.workload, a.cfg.clone())?);
+    // Trace what is served, not the start-up calibration.
+    cote_obs::set_tracing(a.trace.is_some());
     let queries = Arc::new(std::mem::take(&mut a.workload.queries));
     let n = queries.len();
     let mut sink_dropped = 0u64;
@@ -158,7 +159,11 @@ pub fn serve(args: &[String]) -> Result<()> {
         if let Some(w) = tracer {
             let (mut events, dropped) = svc.take_trace_events();
             sink_dropped += dropped;
-            events.extend(server.map(NetServer::take_trace_events).unwrap_or_default());
+            if let Some(server) = server {
+                let (net_events, net_dropped) = server.take_trace_events();
+                events.extend(net_events);
+                sink_dropped += net_dropped;
+            }
             for e in &events {
                 w.write_event(e)
                     .map_err(|e| bad(format!("writing trace: {e}")))?;
@@ -295,12 +300,14 @@ pub fn serve(args: &[String]) -> Result<()> {
     if let Some(w) = tracer {
         let s = w.finish().map_err(|e| bad(format!("closing trace: {e}")))?;
         eprintln!(
-            "trace: {} events to {} ({} bytes; {} dropped by the size cap, {} by the sink)",
+            "trace: {} events to {} ({} bytes; {} dropped by the size cap, {} by the sinks, \
+             {} by thread buffers)",
             s.written,
             s.path.display(),
             s.bytes,
             s.dropped,
-            sink_dropped
+            sink_dropped,
+            cote_obs::dropped_events()
         );
         cote_obs::set_tracing(false);
     }

@@ -5,9 +5,7 @@
 //! go wrong right here?". In a normal build the whole registry exists but
 //! is *disarmed*: [`hit`] is one relaxed atomic load and every site answers
 //! `None`. A chaos run arms the registry with a seed and configures
-//! specific sites; under the `chaos-off` feature the layer compiles down to
-//! no-ops entirely (mirroring `cote-obs`'s `obs-off`), so latency-critical
-//! deployments pay nothing, not even the load.
+//! specific sites.
 //!
 //! **Determinism.** Every chaos run must be replayable from a printed seed.
 //! Each site draws from its *own* [`Xoshiro256pp`] stream, seeded as
@@ -31,6 +29,12 @@
 //! its statistics). Scope is checked *before* any RNG draw, so scoped and
 //! unscoped traffic cannot perturb each other's decision streams.
 
+use crate::fxhash::fxhash64;
+use crate::rng::Xoshiro256pp;
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
 /// What a fired failpoint asks the call site to do. Sites interpret the
@@ -137,210 +141,127 @@ pub struct SiteStats {
     pub fires: u64,
 }
 
-/// True when fault injection is compiled in (no `chaos-off`). The chaos
-/// harness refuses to "pass" in a build where every failpoint is a no-op.
-pub const fn compiled_in() -> bool {
-    cfg!(not(feature = "chaos-off"))
+/// Fast-path gate: one relaxed load decides whether [`hit`] does any
+/// work at all.
+static ARMED: AtomicBool = AtomicBool::new(false);
+static SEED: AtomicU64 = AtomicU64::new(0);
+
+struct Site {
+    spec: FaultSpec,
+    hits: AtomicU64,
+    fires: AtomicU64,
+    rng: Mutex<Xoshiro256pp>,
 }
 
-#[cfg(not(feature = "chaos-off"))]
-mod on {
-    use super::*;
-    use crate::fxhash::fxhash64;
-    use crate::rng::Xoshiro256pp;
-    use std::cell::RefCell;
-    use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Mutex, OnceLock};
+fn sites() -> &'static Mutex<BTreeMap<String, &'static Site>> {
+    static SITES: OnceLock<Mutex<BTreeMap<String, &'static Site>>> = OnceLock::new();
+    SITES.get_or_init(|| Mutex::new(BTreeMap::new()))
+}
 
-    /// Fast-path gate: one relaxed load decides whether [`hit`] does any
-    /// work at all.
-    static ARMED: AtomicBool = AtomicBool::new(false);
-    static SEED: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static SCOPE: RefCell<String> = const { RefCell::new(String::new()) };
+}
 
-    struct Site {
-        spec: FaultSpec,
-        hits: AtomicU64,
-        fires: AtomicU64,
-        rng: Mutex<Xoshiro256pp>,
+/// Label this thread for scoped failpoints (empty = unscoped).
+pub fn set_thread_scope(scope: &str) {
+    SCOPE.with(|s| *s.borrow_mut() = scope.to_string());
+}
+
+/// This thread's scope label (empty when unscoped).
+pub fn thread_scope() -> String {
+    SCOPE.with(|s| s.borrow().clone())
+}
+
+/// Arm the registry with `seed`. Clears any previous site configs and
+/// stats so a run always starts from a clean, replayable state.
+pub fn arm(seed: u64) {
+    clear();
+    SEED.store(seed, Ordering::Release);
+    ARMED.store(true, Ordering::Release);
+}
+
+/// Disarm (sites and stats are kept for inspection until [`clear`] or
+/// the next [`arm`]).
+pub fn disarm() {
+    ARMED.store(false, Ordering::Release);
+}
+
+/// Is the registry armed?
+pub fn armed() -> bool {
+    ARMED.load(Ordering::Acquire)
+}
+
+/// The seed the registry was armed with.
+pub fn seed() -> u64 {
+    SEED.load(Ordering::Acquire)
+}
+
+/// Drop every site configuration and its statistics.
+pub fn clear() {
+    // Sites are leaked statics (hot-path reads never lock); clearing
+    // forgets them from the table, which is bounded by the number of
+    // distinct (site, configure-call) pairs a process makes — a test
+    // and chaos-harness pattern, not a production allocation treadmill.
+    sites().lock().unwrap().clear();
+}
+
+/// Configure (or reconfigure) one site. The site's RNG stream restarts
+/// from `seed ^ fxhash(site)` and its counters reset, so per-site
+/// decisions depend only on the seed, the name, and the hit index.
+pub fn configure(site: &str, spec: FaultSpec) {
+    let rng = Xoshiro256pp::new(seed() ^ fxhash64(site.as_bytes()));
+    let boxed: &'static Site = Box::leak(Box::new(Site {
+        spec,
+        hits: AtomicU64::new(0),
+        fires: AtomicU64::new(0),
+        rng: Mutex::new(rng),
+    }));
+    sites().lock().unwrap().insert(site.to_string(), boxed);
+}
+
+/// Evaluate a failpoint. `None` in the overwhelmingly common case
+/// (disarmed, site unconfigured, scope mismatch, or schedule says no);
+/// `Some(action)` when the site fires.
+pub fn hit(site: &str) -> Option<FaultAction> {
+    if !ARMED.load(Ordering::Relaxed) {
+        return None;
     }
-
-    fn sites() -> &'static Mutex<BTreeMap<String, &'static Site>> {
-        static SITES: OnceLock<Mutex<BTreeMap<String, &'static Site>>> = OnceLock::new();
-        SITES.get_or_init(|| Mutex::new(BTreeMap::new()))
-    }
-
-    thread_local! {
-        static SCOPE: RefCell<String> = const { RefCell::new(String::new()) };
-    }
-
-    /// Label this thread for scoped failpoints (empty = unscoped).
-    pub fn set_thread_scope(scope: &str) {
-        SCOPE.with(|s| *s.borrow_mut() = scope.to_string());
-    }
-
-    /// This thread's scope label (empty when unscoped).
-    pub fn thread_scope() -> String {
-        SCOPE.with(|s| s.borrow().clone())
-    }
-
-    /// Arm the registry with `seed`. Clears any previous site configs and
-    /// stats so a run always starts from a clean, replayable state.
-    pub fn arm(seed: u64) {
-        clear();
-        SEED.store(seed, Ordering::Release);
-        ARMED.store(true, Ordering::Release);
-    }
-
-    /// Disarm (sites and stats are kept for inspection until [`clear`] or
-    /// the next [`arm`]).
-    pub fn disarm() {
-        ARMED.store(false, Ordering::Release);
-    }
-
-    /// Is the registry armed?
-    pub fn armed() -> bool {
-        ARMED.load(Ordering::Acquire)
-    }
-
-    /// The seed the registry was armed with.
-    pub fn seed() -> u64 {
-        SEED.load(Ordering::Acquire)
-    }
-
-    /// Drop every site configuration and its statistics.
-    pub fn clear() {
-        // Sites are leaked statics (hot-path reads never lock); clearing
-        // forgets them from the table, which is bounded by the number of
-        // distinct (site, configure-call) pairs a process makes — a test
-        // and chaos-harness pattern, not a production allocation treadmill.
-        sites().lock().unwrap().clear();
-    }
-
-    /// Configure (or reconfigure) one site. The site's RNG stream restarts
-    /// from `seed ^ fxhash(site)` and its counters reset, so per-site
-    /// decisions depend only on the seed, the name, and the hit index.
-    pub fn configure(site: &str, spec: FaultSpec) {
-        let rng = Xoshiro256pp::new(seed() ^ fxhash64(site.as_bytes()));
-        let boxed: &'static Site = Box::leak(Box::new(Site {
-            spec,
-            hits: AtomicU64::new(0),
-            fires: AtomicU64::new(0),
-            rng: Mutex::new(rng),
-        }));
-        sites().lock().unwrap().insert(site.to_string(), boxed);
-    }
-
-    /// Evaluate a failpoint. `None` in the overwhelmingly common case
-    /// (disarmed, site unconfigured, scope mismatch, or schedule says no);
-    /// `Some(action)` when the site fires.
-    pub fn hit(site: &str) -> Option<FaultAction> {
-        if !ARMED.load(Ordering::Relaxed) {
+    let entry: &'static Site = *sites().lock().unwrap().get(site)?;
+    if let Some(want) = &entry.spec.scope {
+        let matches = SCOPE.with(|s| *s.borrow() == *want);
+        if !matches {
             return None;
         }
-        let entry: &'static Site = *sites().lock().unwrap().get(site)?;
-        if let Some(want) = &entry.spec.scope {
-            let matches = SCOPE.with(|s| *s.borrow() == *want);
-            if !matches {
-                return None;
-            }
-        }
-        let hit_no = entry.hits.fetch_add(1, Ordering::AcqRel) + 1;
-        let fires = match entry.spec.mode {
-            FireMode::Always => true,
-            FireMode::FirstN(n) => hit_no <= n,
-            FireMode::Every(n) => hit_no.is_multiple_of(n.max(1)),
-            FireMode::Prob(p) => entry.rng.lock().unwrap().chance(p),
-        };
-        if !fires {
-            return None;
-        }
-        entry.fires.fetch_add(1, Ordering::AcqRel);
-        Some(entry.spec.action)
     }
-
-    /// Per-site statistics, sorted by site name.
-    pub fn snapshot() -> Vec<SiteStats> {
-        sites()
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(name, s)| SiteStats {
-                site: name.clone(),
-                hits: s.hits.load(Ordering::Acquire),
-                fires: s.fires.load(Ordering::Acquire),
-            })
-            .collect()
+    let hit_no = entry.hits.fetch_add(1, Ordering::AcqRel) + 1;
+    let fires = match entry.spec.mode {
+        FireMode::Always => true,
+        FireMode::FirstN(n) => hit_no <= n,
+        FireMode::Every(n) => hit_no.is_multiple_of(n.max(1)),
+        FireMode::Prob(p) => entry.rng.lock().unwrap().chance(p),
+    };
+    if !fires {
+        return None;
     }
+    entry.fires.fetch_add(1, Ordering::AcqRel);
+    Some(entry.spec.action)
 }
 
-#[cfg(not(feature = "chaos-off"))]
-pub use on::{
-    arm, armed, clear, configure, disarm, hit, seed, set_thread_scope, snapshot, thread_scope,
-};
-
-#[cfg(feature = "chaos-off")]
-mod off {
-    use super::*;
-
-    /// No-op under `chaos-off`.
-    #[inline(always)]
-    pub fn set_thread_scope(_scope: &str) {}
-
-    /// Always unscoped under `chaos-off`.
-    #[inline(always)]
-    pub fn thread_scope() -> String {
-        String::new()
-    }
-
-    /// No-op under `chaos-off`.
-    #[inline(always)]
-    pub fn arm(_seed: u64) {}
-
-    /// No-op under `chaos-off`.
-    #[inline(always)]
-    pub fn disarm() {}
-
-    /// Always `false` under `chaos-off`.
-    #[inline(always)]
-    pub fn armed() -> bool {
-        false
-    }
-
-    /// Always zero under `chaos-off`.
-    #[inline(always)]
-    pub fn seed() -> u64 {
-        0
-    }
-
-    /// No-op under `chaos-off`.
-    #[inline(always)]
-    pub fn clear() {}
-
-    /// No-op under `chaos-off`.
-    #[inline(always)]
-    pub fn configure(_site: &str, _spec: FaultSpec) {}
-
-    /// Never fires under `chaos-off` — the call inlines to `None` and the
-    /// fault-handling branch at the site dead-code-eliminates.
-    #[inline(always)]
-    pub fn hit(_site: &str) -> Option<FaultAction> {
-        None
-    }
-
-    /// Always empty under `chaos-off`.
-    #[inline(always)]
-    pub fn snapshot() -> Vec<SiteStats> {
-        Vec::new()
-    }
+/// Per-site statistics, sorted by site name.
+pub fn snapshot() -> Vec<SiteStats> {
+    sites()
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|(name, s)| SiteStats {
+            site: name.clone(),
+            hits: s.hits.load(Ordering::Acquire),
+            fires: s.fires.load(Ordering::Acquire),
+        })
+        .collect()
 }
 
-#[cfg(feature = "chaos-off")]
-pub use off::{
-    arm, armed, clear, configure, disarm, hit, seed, set_thread_scope, snapshot, thread_scope,
-};
-
-#[cfg(all(test, not(feature = "chaos-off")))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::{Mutex, OnceLock};

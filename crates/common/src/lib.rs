@@ -23,7 +23,7 @@
 //! * [`lru`] — a small O(1) LRU cache shared by the statement cache and the
 //!   serving layer's sharded estimate cache.
 //! * [`failpoint`] — deterministic, seed-replayable fault injection for the
-//!   serving tier; compiled to no-ops under the `chaos-off` feature.
+//!   serving tier; one relaxed load per site while disarmed.
 
 pub mod bitset;
 pub mod error;

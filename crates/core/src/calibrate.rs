@@ -249,10 +249,9 @@ mod tests {
         assert!(cal.training_error() < 2.0, "error {}", cal.training_error());
     }
 
-    /// The per-phase fit reads `stats.time`, which must be real seconds in
-    /// every build shape: filled from span self-times it was all zeros under
-    /// `obs-off`, and every statement was predicted to take 0 ms. CI runs
-    /// this crate's tests with `--features obs-off` for this test's sake.
+    /// The per-phase fit reads `stats.time`, which must be real seconds: a
+    /// method bucket left at zero fits `C_t = 0`, and every statement is
+    /// then predicted to take 0 ms.
     #[test]
     fn per_phase_fit_attributes_time_to_every_method() {
         let cat = catalog(5);

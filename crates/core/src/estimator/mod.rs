@@ -22,7 +22,7 @@ pub mod lists;
 use crate::options::EstimateOptions;
 use cote_catalog::Catalog;
 use cote_common::{ColRef, FxHashSet, Interner, PropSetId, Result, TableRef};
-use cote_obs::{phase, Counter, Span, Stopwatch};
+use cote_obs::{phase, Counter, Span};
 use cote_optimizer::cardinality::SimpleCardinality;
 use cote_optimizer::context::OptContext;
 use cote_optimizer::enumerator::{enumerate, EnumOutcome, JoinSite, JoinVisitor};
@@ -34,7 +34,7 @@ use cote_optimizer::{OptimizerConfig, PerMethod};
 use cote_query::{Query, QueryBlock};
 use lists::{InternedLists, PropLists};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Estimated plan counts (and friends) for one query block.
 #[derive(Debug, Clone, Default)]
@@ -742,7 +742,7 @@ pub fn estimate_query(
     // Tag this thread's spans with a fresh run id and the query id, so the
     // JSONL trace can be grouped per estimator run.
     cote_obs::set_context(c.runs.inc_and_get(), &query.name);
-    let wall = Stopwatch::start();
+    let wall = Instant::now();
     let mut totals = BlockEstimate::default();
     for block in query.blocks() {
         let b = estimate_block(catalog, block, config, opts)?;

@@ -324,7 +324,6 @@ fn retry_budget_bounds_the_failover_dance() {
 /// marked down while the fault budget lasts and re-marked up on the next
 /// clean sweep — the up-mask reacts, the breaker (transport-level) does
 /// not.
-#[cfg(not(feature = "chaos-off"))]
 #[test]
 fn injected_probe_failures_flap_the_up_mask() {
     use cote_common::failpoint::{self, FaultAction, FaultSpec};

@@ -5,8 +5,7 @@
 //! documented on the constant.
 //!
 //! All of this costs one relaxed atomic load per site when the registry is
-//! disarmed, and compiles out entirely under `chaos-off` (see
-//! [`cote_common::failpoint`]).
+//! disarmed (see [`cote_common::failpoint`]).
 //!
 //! [`NetServer`]: crate::NetServer
 

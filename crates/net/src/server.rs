@@ -35,7 +35,7 @@ use crate::metrics::{NetMetrics, PollMetrics};
 use crate::poll::{new_poller, Interest, PollEvent, Poller};
 use crate::proto::WireResponse;
 use cote_common::failpoint::{self, FaultAction};
-use cote_obs::{phase, Registry, Span, TraceEvent};
+use cote_obs::{phase, Registry, Span, TraceEvent, TraceSink};
 use cote_query::Query;
 use cote_service::CoteService;
 use std::collections::{HashMap, VecDeque};
@@ -119,9 +119,6 @@ const READ_CHUNK: usize = 4096;
 /// Pause after a failed `accept`: a persistent failure (`EMFILE` once
 /// `max_conns` exceeds `ulimit -n`) must not spin a core.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
-/// Cap on span events held for [`NetServer::take_trace_events`]; past it
-/// events stay in the loop thread's own capped buffer, which counts drops.
-const MAX_TRACE_EVENTS: usize = 1 << 16;
 
 struct LoopShared {
     inbox: Mutex<VecDeque<TcpStream>>,
@@ -151,7 +148,7 @@ struct Shared {
     forced: AtomicUsize,
     loops: Vec<LoopShared>,
     /// Span events flushed from the loop threads' thread-local buffers.
-    trace: Mutex<Vec<TraceEvent>>,
+    trace: TraceSink,
 }
 
 /// A running network front-end over one [`WireHandler`].
@@ -206,7 +203,7 @@ impl NetServer {
             open: AtomicUsize::new(0),
             forced: AtomicUsize::new(0),
             loops: loop_shared,
-            trace: Mutex::new(Vec::new()),
+            trace: TraceSink::default(),
         });
         let scope = failpoint::thread_scope();
         let loop_threads = wake_rx
@@ -274,9 +271,11 @@ impl NetServer {
     }
 
     /// Drain the `net_request` span events the loops have recorded since
-    /// the last call (empty unless `cote_obs::set_tracing(true)`).
-    pub fn take_trace_events(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.shared.trace.lock().unwrap())
+    /// the last call (empty unless `cote_obs::set_tracing(true)`). Returns
+    /// `(events, dropped)` where `dropped` counts events lost to the cap
+    /// since the last drain.
+    pub fn take_trace_events(&self) -> (Vec<TraceEvent>, u64) {
+        self.shared.trace.take()
     }
 
     /// Graceful shutdown: stop accepting, answer open connections with
@@ -486,7 +485,9 @@ impl EventLoop {
             // Retry pending flushes every round so half-written responses
             // make progress at TICK granularity even with no readiness.
             self.flush_pending();
-            self.flush_trace();
+            // Spans record into a per-thread buffer no other thread can
+            // read: hand this round's events to the server's sink.
+            self.shared.trace.flush_thread();
             let draining = self.shared.draining.load(Ordering::Acquire);
             if draining {
                 if self.shared.force.load(Ordering::Acquire) {
@@ -508,18 +509,6 @@ impl EventLoop {
             }
         }
         self.shared.poll.loops.add(-1);
-    }
-
-    /// Move this thread's span events to the server's sink (spans record
-    /// into a per-thread buffer no other thread can read).
-    fn flush_trace(&self) {
-        if !cote_obs::tracing_enabled() {
-            return;
-        }
-        let mut sink = self.shared.trace.lock().unwrap();
-        if sink.len() < MAX_TRACE_EVENTS {
-            sink.extend(cote_obs::take_events());
-        }
     }
 
     fn drain_wake_pipe(&mut self) {

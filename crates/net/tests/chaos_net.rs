@@ -5,8 +5,6 @@
 //! static mutex and scope their specs to a per-test label: a concurrently
 //! running unscoped test thread can neither fire nor count these sites.
 
-#![cfg(not(feature = "chaos-off"))]
-
 use cote::{Cote, TimeModel};
 use cote_catalog::{Catalog, ColumnDef, TableDef};
 use cote_common::failpoint::{self, FaultAction, FaultSpec};

@@ -787,7 +787,6 @@ fn idle_connections_are_swept() {
 
 /// With tracing on, each dispatched request leaves one `net_request` span
 /// event, tagged wire (`http` = 0) or HTTP (`http` = 1).
-#[cfg(not(feature = "obs-off"))]
 #[test]
 fn each_request_yields_one_net_request_span() {
     let (svc, queries) = service(small_cfg());
@@ -805,6 +804,7 @@ fn each_request_yields_one_net_request_span() {
         spans.extend(
             server
                 .take_trace_events()
+                .0
                 .into_iter()
                 .filter(|e| e.phase == cote_obs::phase::NET_REQUEST),
         );

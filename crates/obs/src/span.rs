@@ -1,39 +1,39 @@
-//! Nested phase spans with a thread-local trace buffer and close hook.
+//! Nested phase spans with a thread-local trace buffer.
 //!
-//! `Span::enter("nljn")` starts a phase; dropping or `close()`-ing it stops
-//! the clock and returns a [`SpanTiming`] carrying both the total duration
-//! and the *self* time (total minus time spent in child spans), so callers
-//! can keep disjoint per-phase accounting without threading `Instant`s by
-//! hand. Spans must close in LIFO order (the natural order for RAII values).
+//! `Span::enter("compile")` starts a phase; dropping or `close()`-ing it
+//! stops the clock and returns a [`SpanTiming`] carrying both the total
+//! duration and the *self* time (total minus time spent in child spans).
+//! Spans must close in LIFO order (the natural order for RAII values).
 //!
-//! Recording is thread-local: a depth stack for self-time accounting, an
-//! optional per-thread close hook (see [`set_span_hook`]), and — only when
-//! [`set_tracing`]`(true)` — a bounded buffer of [`TraceEvent`]s drained
-//! with [`take_events`]. When tracing is off (the default) a closed span
-//! costs the stack bookkeeping plus one relaxed atomic load.
-//!
-//! With the `obs-off` feature the whole layer compiles out: `Span` is a
-//! zero-sized no-op, `close()` returns [`SpanTiming::default`], and none of
-//! the thread-locals exist.
+//! Recording is thread-local: a depth stack for self-time accounting and —
+//! only when [`set_tracing`]`(true)` — a bounded buffer of [`TraceEvent`]s
+//! drained with [`take_events`]. When tracing is off (the default) a closed
+//! span costs the stack bookkeeping plus one relaxed atomic load. A
+//! [`TraceSink`] collects several threads' buffers under one cap.
 
-use std::time::Duration;
+use crate::trace::TraceEvent;
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
-/// Wall-clock stopwatch for *functional* timing (calibration inputs,
-/// end-to-end elapsed). Unlike spans this is never compiled out: the
-/// estimator's time model needs real seconds even in an `obs-off` build.
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch(std::time::Instant);
+/// Hard cap on the per-thread trace buffer; events past it are counted in
+/// [`dropped_events`] instead of growing memory without bound.
+const MAX_THREAD_EVENTS: usize = 1 << 16;
+/// Events a [`TraceSink`] holds before the front-end drains it; past it
+/// events are counted as dropped.
+const MAX_SINK_EVENTS: usize = 1 << 16;
 
-impl Stopwatch {
-    /// Start timing now.
-    pub fn start() -> Self {
-        Stopwatch(std::time::Instant::now())
-    }
+static TRACING: AtomicBool = AtomicBool::new(false);
+static DROPPED: AtomicU64 = AtomicU64::new(0);
 
-    /// Time since `start()`.
-    pub fn elapsed(&self) -> Duration {
-        self.0.elapsed()
-    }
+thread_local! {
+    /// One child-time accumulator per open span.
+    static STACK: RefCell<Vec<Duration>> = const { RefCell::new(Vec::new()) };
+    static BUFFER: RefCell<Vec<TraceEvent>> = const { RefCell::new(Vec::new()) };
+    static CONTEXT: RefCell<(u64, String)> = const { RefCell::new((0, String::new())) };
+    /// Time origin for `start_ns`: the first span entered on this thread.
+    static EPOCH: Cell<Option<Instant>> = const { Cell::new(None) };
 }
 
 /// What closing a span measured.
@@ -45,266 +45,180 @@ pub struct SpanTiming {
     pub self_time: Duration,
 }
 
-/// Borrowed view of a closing span, passed to the close hook.
+/// Globally enable/disable trace-event collection (spans still time either
+/// way; this only gates the JSONL buffer).
+pub fn set_tracing(on: bool) {
+    TRACING.store(on, Ordering::Relaxed);
+}
+
+/// Is trace-event collection enabled?
+pub fn tracing_enabled() -> bool {
+    TRACING.load(Ordering::Relaxed)
+}
+
+/// Events discarded because a thread buffer hit its cap (process-wide).
+pub fn dropped_events() -> u64 {
+    DROPPED.load(Ordering::Relaxed)
+}
+
+/// Tag subsequent spans on this thread with an estimator run id and a
+/// query id; both land on every flushed [`TraceEvent`].
+pub fn set_context(run: u64, query: &str) {
+    CONTEXT.with(|c| *c.borrow_mut() = (run, query.to_string()));
+}
+
+/// Reset this thread's span context to `(0, "")`.
+pub fn clear_context() {
+    CONTEXT.with(|c| *c.borrow_mut() = (0, String::new()));
+}
+
+/// Drain this thread's buffered trace events.
+pub fn take_events() -> Vec<TraceEvent> {
+    BUFFER.with(|b| std::mem::take(&mut *b.borrow_mut()))
+}
+
+/// An open phase span (RAII: closes on drop if not closed explicitly).
+#[must_use = "a span measures the scope it lives in"]
+pub struct Span {
+    name: &'static str,
+    start: Instant,
+    fields: Vec<(&'static str, u64)>,
+    closed: bool,
+}
+
+impl Span {
+    /// Start a span named `name` (a phase from the DESIGN.md taxonomy).
+    pub fn enter(name: &'static str) -> Self {
+        let start = Instant::now();
+        EPOCH.with(|e| {
+            if e.get().is_none() {
+                e.set(Some(start));
+            }
+        });
+        STACK.with(|s| s.borrow_mut().push(Duration::ZERO));
+        Span {
+            name,
+            start,
+            fields: Vec::new(),
+            closed: false,
+        }
+    }
+
+    /// Attach a numeric field (plan count, MEMO entries, …).
+    pub fn record(&mut self, key: &'static str, value: u64) {
+        self.fields.push((key, value));
+    }
+
+    /// Stop the clock and return the measured timing.
+    pub fn close(mut self) -> SpanTiming {
+        self.finish()
+    }
+
+    fn finish(&mut self) -> SpanTiming {
+        self.closed = true;
+        let total = self.start.elapsed();
+        let (child, depth) = STACK.with(|s| {
+            let mut s = s.borrow_mut();
+            let child = s.pop().unwrap_or(Duration::ZERO);
+            if let Some(parent) = s.last_mut() {
+                *parent += total;
+            }
+            (child, s.len())
+        });
+        let self_time = total.saturating_sub(child);
+        if TRACING.load(Ordering::Relaxed) {
+            let start_ns = EPOCH.with(|e| {
+                e.get()
+                    .map_or(Duration::ZERO, |epoch| {
+                        self.start.saturating_duration_since(epoch)
+                    })
+                    .as_nanos() as u64
+            });
+            let (run, query) = CONTEXT.with(|c| c.borrow().clone());
+            BUFFER.with(|b| {
+                let mut b = b.borrow_mut();
+                if b.len() < MAX_THREAD_EVENTS {
+                    b.push(TraceEvent {
+                        run,
+                        query,
+                        phase: self.name.to_string(),
+                        depth: depth as u64,
+                        start_ns,
+                        dur_ns: total.as_nanos() as u64,
+                        self_ns: self_time.as_nanos() as u64,
+                        fields: self
+                            .fields
+                            .iter()
+                            .map(|(k, v)| (k.to_string(), *v))
+                            .collect(),
+                    });
+                } else {
+                    DROPPED.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+        SpanTiming { total, self_time }
+    }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        if !self.closed {
+            self.finish();
+        }
+    }
+}
+
+/// A bounded, drop-counting collector for trace events from many threads
+/// (service workers, network loops). Each thread moves its own buffer in
+/// with [`flush_thread`](Self::flush_thread); a front-end drains the lot
+/// with [`take`](Self::take). At most 65,536 events are held; the rest are
+/// counted, never stored.
 #[derive(Debug)]
-pub struct SpanRecord<'a> {
-    /// Span (phase) name.
-    pub name: &'static str,
-    /// Nesting depth after this span popped (0 = it was a root span).
-    pub depth: usize,
-    /// Wall-clock time from enter to close.
-    pub total: Duration,
-    /// `total` minus time spent in child spans.
-    pub self_time: Duration,
-    /// Fields attached via [`Span::record`], in recording order.
-    pub fields: &'a [(&'static str, u64)],
+pub struct TraceSink {
+    cap: usize,
+    /// Held events and the count dropped since the last `take`.
+    state: Mutex<(Vec<TraceEvent>, u64)>,
 }
 
-#[cfg(not(feature = "obs-off"))]
-mod on {
-    use super::{SpanRecord, SpanTiming};
-    use crate::trace::TraceEvent;
-    use std::cell::{Cell, RefCell};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::time::{Duration, Instant};
-
-    /// Hard cap on the per-thread trace buffer; events past it are counted
-    /// in [`dropped_events`] instead of growing memory without bound.
-    pub const MAX_THREAD_EVENTS: usize = 1 << 16;
-
-    static TRACING: AtomicBool = AtomicBool::new(false);
-    static DROPPED: AtomicU64 = AtomicU64::new(0);
-
-    type Hook = Box<dyn FnMut(&SpanRecord<'_>)>;
-
-    thread_local! {
-        /// One child-time accumulator per open span.
-        static STACK: RefCell<Vec<Duration>> = const { RefCell::new(Vec::new()) };
-        static BUFFER: RefCell<Vec<TraceEvent>> = const { RefCell::new(Vec::new()) };
-        static HOOK: RefCell<Option<Hook>> = const { RefCell::new(None) };
-        static CONTEXT: RefCell<(u64, String)> = const { RefCell::new((0, String::new())) };
-        /// Time origin for `start_ns`: the first span entered on this thread.
-        static EPOCH: Cell<Option<Instant>> = const { Cell::new(None) };
-    }
-
-    /// Globally enable/disable trace-event collection (spans still time and
-    /// feed the hook either way; this only gates the JSONL buffer).
-    pub fn set_tracing(on: bool) {
-        TRACING.store(on, Ordering::Relaxed);
-    }
-
-    /// Is trace-event collection enabled?
-    pub fn tracing_enabled() -> bool {
-        TRACING.load(Ordering::Relaxed)
-    }
-
-    /// Events discarded because a thread buffer hit [`MAX_THREAD_EVENTS`].
-    pub fn dropped_events() -> u64 {
-        DROPPED.load(Ordering::Relaxed)
-    }
-
-    /// Tag subsequent spans on this thread with an estimator run id and a
-    /// query id; both land on every flushed [`TraceEvent`].
-    pub fn set_context(run: u64, query: &str) {
-        CONTEXT.with(|c| *c.borrow_mut() = (run, query.to_string()));
-    }
-
-    /// Reset this thread's span context to `(0, "")`.
-    pub fn clear_context() {
-        CONTEXT.with(|c| *c.borrow_mut() = (0, String::new()));
-    }
-
-    /// Install a per-thread callback invoked on every span close. The hook
-    /// is temporarily removed while it runs, so spans opened *inside* the
-    /// hook do not re-enter it.
-    pub fn set_span_hook(hook: impl FnMut(&SpanRecord<'_>) + 'static) {
-        HOOK.with(|h| *h.borrow_mut() = Some(Box::new(hook)));
-    }
-
-    /// Remove this thread's span hook.
-    pub fn clear_span_hook() {
-        HOOK.with(|h| *h.borrow_mut() = None);
-    }
-
-    /// Drain this thread's buffered trace events.
-    pub fn take_events() -> Vec<TraceEvent> {
-        BUFFER.with(|b| std::mem::take(&mut *b.borrow_mut()))
-    }
-
-    /// An open phase span (RAII: closes on drop if not closed explicitly).
-    #[must_use = "a span measures the scope it lives in"]
-    pub struct Span {
-        name: &'static str,
-        start: Instant,
-        fields: Vec<(&'static str, u64)>,
-        closed: bool,
-    }
-
-    impl Span {
-        /// Start a span named `name` (a phase from the DESIGN.md taxonomy).
-        pub fn enter(name: &'static str) -> Self {
-            let start = Instant::now();
-            EPOCH.with(|e| {
-                if e.get().is_none() {
-                    e.set(Some(start));
-                }
-            });
-            STACK.with(|s| s.borrow_mut().push(Duration::ZERO));
-            Span {
-                name,
-                start,
-                fields: Vec::new(),
-                closed: false,
-            }
-        }
-
-        /// Attach a numeric field (plan count, MEMO entries, …).
-        pub fn record(&mut self, key: &'static str, value: u64) {
-            self.fields.push((key, value));
-        }
-
-        /// Stop the clock and return the measured timing.
-        pub fn close(mut self) -> SpanTiming {
-            self.finish()
-        }
-
-        fn finish(&mut self) -> SpanTiming {
-            self.closed = true;
-            let total = self.start.elapsed();
-            let (child, depth) = STACK.with(|s| {
-                let mut s = s.borrow_mut();
-                let child = s.pop().unwrap_or(Duration::ZERO);
-                if let Some(parent) = s.last_mut() {
-                    *parent += total;
-                }
-                (child, s.len())
-            });
-            let self_time = total.saturating_sub(child);
-            let fields = std::mem::take(&mut self.fields);
-            if let Some(mut hook) = HOOK.with(|h| h.borrow_mut().take()) {
-                hook(&SpanRecord {
-                    name: self.name,
-                    depth,
-                    total,
-                    self_time,
-                    fields: &fields,
-                });
-                HOOK.with(|h| {
-                    let mut h = h.borrow_mut();
-                    if h.is_none() {
-                        *h = Some(hook);
-                    }
-                });
-            }
-            if TRACING.load(Ordering::Relaxed) {
-                let start_ns = EPOCH.with(|e| {
-                    e.get()
-                        .map_or(Duration::ZERO, |epoch| {
-                            self.start.saturating_duration_since(epoch)
-                        })
-                        .as_nanos() as u64
-                });
-                let (run, query) = CONTEXT.with(|c| c.borrow().clone());
-                BUFFER.with(|b| {
-                    let mut b = b.borrow_mut();
-                    if b.len() < MAX_THREAD_EVENTS {
-                        b.push(TraceEvent {
-                            run,
-                            query,
-                            phase: self.name.to_string(),
-                            depth: depth as u64,
-                            start_ns,
-                            dur_ns: total.as_nanos() as u64,
-                            self_ns: self_time.as_nanos() as u64,
-                            fields: fields.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-                        });
-                    } else {
-                        DROPPED.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-            SpanTiming { total, self_time }
-        }
-    }
-
-    impl Drop for Span {
-        fn drop(&mut self) {
-            if !self.closed {
-                self.finish();
-            }
+impl Default for TraceSink {
+    fn default() -> Self {
+        TraceSink {
+            cap: MAX_SINK_EVENTS,
+            state: Mutex::default(),
         }
     }
 }
 
-#[cfg(feature = "obs-off")]
-mod off {
-    use super::{SpanRecord, SpanTiming};
-    use crate::trace::TraceEvent;
-
-    /// Compiled-out span: a zero-sized value whose every method is an
-    /// inlined no-op, so instrumented hot paths carry no overhead.
-    #[must_use = "a span measures the scope it lives in"]
-    pub struct Span;
-
-    impl Span {
-        #[inline(always)]
-        pub fn enter(_name: &'static str) -> Self {
-            Span
-        }
-
-        #[inline(always)]
-        pub fn record(&mut self, _key: &'static str, _value: u64) {}
-
-        #[inline(always)]
-        pub fn close(self) -> SpanTiming {
-            SpanTiming::default()
+impl TraceSink {
+    /// Move the calling thread's buffered events in (no-op unless tracing
+    /// is on).
+    pub fn flush_thread(&self) {
+        if tracing_enabled() {
+            self.extend(take_events());
         }
     }
 
-    #[inline(always)]
-    pub fn set_tracing(_on: bool) {}
-
-    #[inline(always)]
-    pub fn tracing_enabled() -> bool {
-        false
+    /// Keep as many of `events` as fit under the cap; count the rest.
+    fn extend(&self, events: Vec<TraceEvent>) {
+        if events.is_empty() {
+            return;
+        }
+        let mut state = self.state.lock().unwrap();
+        let room = self.cap.saturating_sub(state.0.len());
+        let dropped = events.len().saturating_sub(room);
+        state.0.extend(events.into_iter().take(room));
+        state.1 += dropped as u64;
     }
 
-    #[inline(always)]
-    pub fn dropped_events() -> u64 {
-        0
-    }
-
-    #[inline(always)]
-    pub fn set_context(_run: u64, _query: &str) {}
-
-    #[inline(always)]
-    pub fn clear_context() {}
-
-    #[inline(always)]
-    pub fn set_span_hook(_hook: impl FnMut(&SpanRecord<'_>) + 'static) {}
-
-    #[inline(always)]
-    pub fn clear_span_hook() {}
-
-    #[inline(always)]
-    pub fn take_events() -> Vec<TraceEvent> {
-        Vec::new()
+    /// Drain: `(events, dropped)` since the last call; both reset.
+    pub fn take(&self) -> (Vec<TraceEvent>, u64) {
+        let mut state = self.state.lock().unwrap();
+        (std::mem::take(&mut state.0), std::mem::take(&mut state.1))
     }
 }
 
-#[cfg(not(feature = "obs-off"))]
-pub use on::{
-    clear_context, clear_span_hook, dropped_events, set_context, set_span_hook, set_tracing,
-    take_events, tracing_enabled, Span,
-};
-
-#[cfg(feature = "obs-off")]
-pub use off::{
-    clear_context, clear_span_hook, dropped_events, set_context, set_span_hook, set_tracing,
-    take_events, tracing_enabled, Span,
-};
-
-#[cfg(all(test, not(feature = "obs-off")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -347,19 +261,32 @@ mod tests {
     }
 
     #[test]
-    fn hook_sees_every_close_and_does_not_reenter() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let seen: Rc<RefCell<Vec<String>>> = Rc::default();
-        let s2 = Rc::clone(&seen);
-        set_span_hook(move |rec| {
-            // A span inside the hook must not recurse into the hook.
-            let _quiet = Span::enter("from_hook");
-            s2.borrow_mut().push(rec.name.to_string());
-        });
-        Span::enter("a").close();
-        Span::enter("b").close();
-        clear_span_hook();
-        assert_eq!(*seen.borrow(), vec!["a".to_string(), "b".to_string()]);
+    fn sink_cap_is_exact_drops_are_counted_and_take_resets() {
+        let event = |i: u64| TraceEvent {
+            run: i,
+            query: String::new(),
+            phase: "p".into(),
+            depth: 0,
+            start_ns: 0,
+            dur_ns: 0,
+            self_ns: 0,
+            fields: Vec::new(),
+        };
+        let sink = TraceSink {
+            cap: 5,
+            ..TraceSink::default()
+        };
+        sink.extend((0..3).map(event).collect());
+        sink.extend((3..9).map(event).collect());
+        let (events, dropped) = sink.take();
+        assert_eq!(
+            events.iter().map(|e| e.run).collect::<Vec<_>>(),
+            [0, 1, 2, 3, 4]
+        );
+        assert_eq!(dropped, 4);
+        assert_eq!(sink.take(), (Vec::new(), 0), "take resets both");
+        // Room frees up again after a take.
+        sink.extend((0..2).map(event).collect());
+        assert_eq!(sink.take().0.len(), 2);
     }
 }

@@ -1,7 +1,6 @@
 //! Satellite: parent/child span durations are consistent — every child fits
 //! inside its parent, disjoint siblings sum to no more than the parent, and
 //! self time is exactly total minus children.
-#![cfg(not(feature = "obs-off"))]
 
 use cote_obs::{set_tracing, take_events, Span};
 use std::time::Duration;

@@ -11,9 +11,8 @@ use crate::context::OptContext;
 use crate::cost::{hsjn_cost, table_scan, Cost, JoinCostInput, StreamStats};
 use cote_catalog::Catalog;
 use cote_common::{CoteError, InlineVec, Result, TableSet};
-use cote_obs::Stopwatch;
 use cote_query::{Query, QueryBlock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Result of a greedy optimization.
 #[derive(Debug, Clone)]
@@ -48,7 +47,7 @@ impl GreedyOptimizer {
 
     /// Optimize a whole query (sums block costs).
     pub fn optimize_query(&self, catalog: &Catalog, query: &Query) -> Result<GreedyResult> {
-        let started = Stopwatch::start();
+        let started = Instant::now();
         let mut cost = 0.0;
         let mut join_order = Vec::new();
         for block in query.blocks() {
@@ -65,7 +64,7 @@ impl GreedyOptimizer {
 
     /// Optimize one block greedily.
     pub fn optimize_block(&self, catalog: &Catalog, block: &QueryBlock) -> Result<GreedyResult> {
-        let started = Stopwatch::start();
+        let started = Instant::now();
         let ctx = OptContext::new(catalog, block, &self.config);
         let model = FullCardinality;
 

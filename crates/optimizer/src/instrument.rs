@@ -2,16 +2,15 @@
 //!
 //! Counts generated plans per join method and buckets wall-clock time by
 //! phase so the harness can print Fig. 2's breakdown and Fig. 4/5/6's
-//! actuals. The buckets are filled from the never-compiled-out
-//! [`Stopwatch`] ([`PhaseClock`] on the plangen paths) because they feed the
-//! calibrated time model like `elapsed` does; the `cote-obs` spans beside
-//! them only observe. Every finished block is [`publish`]ed to the global
-//! metrics registry as `optimizer_*` counters.
+//! actuals. The buckets are read off `Instant`s (`PhaseClock` on the plangen
+//! paths) like `elapsed` is: they are the one per-phase clock, feeding both
+//! the calibrated time model and the Fig. 2 breakdown. Every finished block
+//! is [`publish`]ed to the global metrics registry as `optimizer_*` counters.
 
 use crate::properties::JoinMethod;
-use cote_obs::{Counter, Stopwatch};
+use cote_obs::Counter;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Per-join-method counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -105,14 +104,14 @@ impl PhaseTimes {
 /// [`PhaseTimes`] bucket: the wall time since `start`, minus what the
 /// survivor path charged to `saving` in between.
 pub(crate) struct PhaseClock {
-    started: Stopwatch,
+    started: Instant,
     saving_at_start: Duration,
 }
 
 impl PhaseClock {
     pub(crate) fn start(stats: &CompileStats) -> Self {
         PhaseClock {
-            started: Stopwatch::start(),
+            started: Instant::now(),
             saving_at_start: stats.time.saving,
         }
     }

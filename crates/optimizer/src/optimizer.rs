@@ -14,8 +14,9 @@ use crate::plangen::{PlanList, RealPlanGen};
 use crate::properties::order::Ordering;
 use cote_catalog::Catalog;
 use cote_common::Result;
-use cote_obs::{phase, Span, Stopwatch};
+use cote_obs::{phase, Span};
 use cote_query::{Query, QueryBlock};
+use std::time::Instant;
 
 /// Result of optimizing one query block.
 pub struct BlockResult {
@@ -89,10 +90,9 @@ impl Optimizer {
                 reason: "every join method is disabled".into(),
             });
         }
-        // Functional wall clock: `elapsed` and the phase buckets feed the
-        // calibrated time model, so they are read off `Stopwatch`es — the
-        // spans beside them vanish under `obs-off`.
-        let wall = Stopwatch::start();
+        // `elapsed` and the phase buckets feed the calibrated time model; the
+        // root span only carries the block's counts into a trace.
+        let wall = Instant::now();
         let mut root_span = Span::enter(phase::COMPILE);
         let ctx = OptContext::new(catalog, block, &self.config);
 
@@ -110,25 +110,21 @@ impl Optimizer {
         };
 
         let mut gen = RealPlanGen::new(pilot_bound);
-        let enum_clock = Stopwatch::start();
-        let enum_span = Span::enter(phase::ENUMERATE);
+        let enum_clock = Instant::now();
         let outcome = if self.config.enum_threads > 1 {
             enumerate_par(&ctx, &FullCardinality, &mut gen, self.config.enum_threads)?
         } else {
             enumerate(&ctx, &FullCardinality, &mut gen)?
         };
-        enum_span.close();
         // Enumeration skeleton = the walk's wall time the plangen buckets
         // (nljn/mgjn/hsjn/saving/other) did not absorb. With worker threads
         // those buckets sum thread time, so the remainder saturates at zero.
         gen.stats.time.enumeration = enum_clock.elapsed().saturating_sub(gen.stats.time.total());
 
         // Finalization ("other"): apply GROUP BY / ORDER BY on the root.
-        let fin_clock = Stopwatch::start();
-        let fin_span = Span::enter(phase::FINALIZE);
+        let fin_clock = Instant::now();
         let root_plans = outcome.memo.entry(outcome.root).payload.plans.clone();
         let (best, best_cost) = finalize_block(&ctx, &mut gen, &root_plans);
-        fin_span.close();
         gen.stats.time.other += fin_clock.elapsed();
 
         let mut stats = gen.stats;

@@ -27,7 +27,8 @@
 //!    later built by the same [`moved`], input cost first (`a.plus(&b)`).
 //! 5. `fork_level`/`absorb_level` keep worker order, so merged ids and list
 //!    contents are identical at any thread count.
-//! 6. Phase buckets come from `Stopwatch`, never from a span's return value.
+//! 6. Phase buckets are read off `Instant`s (`PhaseClock`); this module opens
+//!    no spans.
 
 use crate::cardinality::column_histogram;
 use crate::context::OptContext;
@@ -45,9 +46,9 @@ use crate::properties::partition::PartitionVal;
 use crate::properties::JoinMethod;
 use cote_catalog::EquiDepthHistogram;
 use cote_common::{ColRef, TableRef, TableSet};
-use cote_obs::{phase, Span, Stopwatch};
 use cote_query::EqClasses;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Per-entry payload of the real optimizer: the plan list.
 #[derive(Debug, Default)]
@@ -168,12 +169,10 @@ impl RealPlanGen {
         {
             return false;
         }
-        let clock = Stopwatch::start();
-        let span = Span::enter(phase::SAVE);
+        let clock = Instant::now();
         list.retain(|&q| !cand.dominates(&Candidate::of(arena.node(q))));
         let id = build(self, cand.to_props());
         list.push(id);
-        span.close();
         self.stats.time.saving += clock.elapsed();
         true
     }
@@ -673,7 +672,6 @@ impl JoinVisitor for RealPlanGen {
         t: TableRef,
     ) -> PlanList {
         let clock = PhaseClock::start(&self.stats);
-        let span = Span::enter(phase::SCAN);
         let table = ctx.catalog.table(ctx.block.table(t));
         let row_bytes = table.avg_row_bytes();
         let out_stats = StreamStats::of(core.cardinality, row_bytes);
@@ -790,7 +788,6 @@ impl JoinVisitor for RealPlanGen {
                 });
             }
         }
-        span.close();
         self.stats.time.other += clock.stop(&self.stats);
         list
     }
@@ -847,8 +844,6 @@ impl JoinVisitor for RealPlanGen {
             // ---------------- NLJN ----------------
             if methods.nljn {
                 let clock = PhaseClock::start(&self.stats);
-                let mut span = Span::enter(phase::NLJN);
-                let before = self.stats.plans_generated.nljn;
                 // The DB2 oversight (§5.2): extra plans for subsumed orders.
                 let redundant: Vec<(PlanId, Ordering)> = if ctx.config.redundant_nljn {
                     let mut extras = Vec::new();
@@ -903,16 +898,12 @@ impl JoinVisitor for RealPlanGen {
                         );
                     }
                 }
-                span.record("plans", self.stats.plans_generated.nljn - before);
-                span.close();
                 self.stats.time.nljn += clock.stop(&self.stats);
             }
 
             // ---------------- MGJN ----------------
             if methods.mgjn && !oj.mgjn_reqs.is_empty() {
                 let clock = PhaseClock::start(&self.stats);
-                let mut span = Span::enter(phase::MGJN);
-                let before = self.stats.plans_generated.mgjn;
                 for (o_req, i_req) in &oj.mgjn_reqs {
                     // One suitably sorted inner per applied-expensive mask.
                     let inner_sorted: Vec<PlanId> = inner_mask_reps
@@ -957,16 +948,12 @@ impl JoinVisitor for RealPlanGen {
                         }
                     }
                 }
-                span.record("plans", self.stats.plans_generated.mgjn - before);
-                span.close();
                 self.stats.time.mgjn += clock.stop(&self.stats);
             }
 
             // ---------------- HSJN ----------------
             if methods.hsjn {
                 let clock = PhaseClock::start(&self.stats);
-                let mut span = Span::enter(phase::HSJN);
-                let before = self.stats.plans_generated.hsjn;
                 for alt in &pvs {
                     for &outer_plan in &outer_mask_reps {
                         for &inner_plan in &inner_mask_reps {
@@ -985,8 +972,6 @@ impl JoinVisitor for RealPlanGen {
                         }
                     }
                 }
-                span.record("plans", self.stats.plans_generated.hsjn - before);
-                span.close();
                 self.stats.time.hsjn += clock.stop(&self.stats);
             }
         }
@@ -1002,7 +987,6 @@ impl JoinVisitor for RealPlanGen {
             return;
         }
         let clock = PhaseClock::start(&self.stats);
-        let span = Span::enter(phase::FINALIZE);
         // Eager enforcement (§4 item 1): force each applicable interesting
         // order that no kept plan provides.
         let set = memo.entry(id).set;
@@ -1051,7 +1035,6 @@ impl JoinVisitor for RealPlanGen {
                     .add(PlanKind::Sort { input: cheapest }, props, cost, stats)
             });
         }
-        span.close();
         self.stats.time.other += clock.stop(&self.stats);
     }
 }

@@ -18,17 +18,13 @@ use crate::request::{Decision, QueryClass, ServiceResponse, ShedReason};
 use cote::{fingerprint, Cote};
 use cote_catalog::Catalog;
 use cote_common::failpoint::{self, FaultAction};
-use cote_obs::{phase, Span, TraceEvent};
+use cote_obs::{phase, Span, TraceEvent, TraceSink};
 use cote_query::Query;
 use std::collections::BTreeMap;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Cap on buffered trace events held by the service sink before the
-/// front-end drains them; overflow is counted, not stored.
-const MAX_SINK_EVENTS: usize = 1 << 16;
 
 /// One unit of work handed to the pool.
 struct Job {
@@ -56,10 +52,8 @@ struct Inner {
     decisions: Mutex<BTreeMap<String, u64>>,
     /// Trace events drained from worker thread-locals (spans record into a
     /// per-thread buffer; workers flush here after each job so a front-end
-    /// `--trace` sink sees every worker's spans). Bounded: overflow counts
-    /// into `trace_dropped` instead of growing without bound.
-    trace_sink: Mutex<Vec<TraceEvent>>,
-    trace_dropped: Mutex<u64>,
+    /// `--trace` sink sees every worker's spans).
+    trace: TraceSink,
 }
 
 impl Inner {
@@ -70,26 +64,6 @@ impl Inner {
             .unwrap()
             .entry(choice.label())
             .or_insert(0) += 1;
-    }
-
-    /// Flush this thread's span buffer into the shared sink (no-op unless
-    /// tracing is on; under obs-off the buffer is always empty).
-    fn flush_thread_trace(&self) {
-        if !cote_obs::tracing_enabled() {
-            return;
-        }
-        let events = cote_obs::take_events();
-        if events.is_empty() {
-            return;
-        }
-        let mut sink = self.trace_sink.lock().unwrap();
-        let room = MAX_SINK_EVENTS.saturating_sub(sink.len());
-        let take = events.len().min(room);
-        let dropped = events.len() - take;
-        sink.extend(events.into_iter().take(take));
-        if dropped > 0 {
-            *self.trace_dropped.lock().unwrap() += dropped as u64;
-        }
     }
 }
 
@@ -118,8 +92,7 @@ impl CoteService {
             recal,
             degrade_queue_depth: cfg.degrade_queue_depth,
             decisions: Mutex::new(BTreeMap::new()),
-            trace_sink: Mutex::new(Vec::new()),
-            trace_dropped: Mutex::new(0),
+            trace: TraceSink::default(),
         });
         // Failpoint scope: workers inherit the constructing thread's label
         // so scoped faults can single out this service's tier.
@@ -280,10 +253,8 @@ impl CoteService {
     /// the calling thread). Returns `(events, dropped)` where `dropped`
     /// counts events lost to the sink cap since the last drain.
     pub fn take_trace_events(&self) -> (Vec<TraceEvent>, u64) {
-        self.inner.flush_thread_trace();
-        let events = std::mem::take(&mut *self.inner.trace_sink.lock().unwrap());
-        let dropped = std::mem::take(&mut *self.inner.trace_dropped.lock().unwrap());
-        (events, dropped)
+        self.inner.trace.flush_thread();
+        self.inner.trace.take()
     }
 
     /// The catalog this service estimates against (front-ends that accept
@@ -426,7 +397,7 @@ fn worker_loop(inner: &Inner) {
         };
         let service_time = t0.elapsed();
         span.close();
-        inner.flush_thread_trace();
+        inner.trace.flush_thread();
         inner.metrics.estimation_latency.record(service_time);
         inner.admission.observe_service(service_time);
 
@@ -682,7 +653,6 @@ mod tests {
     /// Pins the two service-tier failpoints: `svc.queue.stall` on the
     /// worker dequeue path (uncached submit) and `svc.estimate.delay` on
     /// both the worker path and the statement-cache fast path.
-    #[cfg(not(feature = "chaos-off"))]
     #[test]
     fn service_failpoints_stall_queued_and_cached_paths() {
         use cote_common::failpoint::FaultSpec;

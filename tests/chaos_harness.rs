@@ -7,8 +7,6 @@
 //! in its own test binary because the failpoint registry is process-global
 //! and the harness arms/disarms it around each run.
 
-#![cfg(not(feature = "chaos-off"))]
-
 use cote_chaos::{run, ChaosConfig, Scenario};
 
 #[test]
