@@ -39,12 +39,13 @@ USAGE:
   cote serve <workload> [--listen ADDR] [--trace FILE [--trace-max-bytes B]]
              [--workers N] [--cache N] [--deadline-ms M]
              [--loops N] [--max-conns N] [--drain-ms M]
-                                      estimation daemon driven by stdin
-                                      ('metrics [json]' dumps the registry);
-                                      --listen also serves the wire protocol
-                                      (PING/ESTIMATE/ADMIT/METRICS) and HTTP
-                                      (GET /metrics, /healthz, POST /estimate)
-                                      on ADDR (port 0 = ephemeral, printed)
+                                      estimation daemon: each stdin line is
+                                      a wire request (PING, ESTIMATE [SQL],
+                                      ADMIT, METRICS, OUTCOME) answered with
+                                      an OK/BUSY/ERR line; --listen also
+                                      serves them and HTTP (GET /metrics,
+                                      /healthz, POST /estimate, /outcome) on
+                                      ADDR (port 0 = ephemeral, printed)
   cote gateway --backend ADDR [--backend ADDR ..] [--listen ADDR]
                [--vnodes N] [--probe-ms M]
                [--loops N] [--max-conns N] [--drain-ms M]

@@ -85,14 +85,6 @@ impl<T: Clone + Eq + Hash> Interner<T> {
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
-
-    /// Iterate over `(id, value)` in dense id order.
-    pub fn iter(&self) -> impl Iterator<Item = (PropSetId, &T)> {
-        self.values
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (PropSetId(i as u32), v))
-    }
 }
 
 #[cfg(test)]
@@ -120,7 +112,9 @@ mod tests {
             let id = t.intern_owned(v);
             assert_eq!(id.index(), [0, 1, 2, 1, 0][i]);
         }
-        let pairs: Vec<(u32, u64)> = t.iter().map(|(id, &v)| (id.0, v)).collect();
-        assert_eq!(pairs, vec![(0, 10), (1, 20), (2, 30)]);
+        let values: Vec<u64> = (0..t.len() as u32)
+            .map(|i| *t.resolve(PropSetId(i)))
+            .collect();
+        assert_eq!(values, vec![10, 20, 30]);
     }
 }

@@ -27,7 +27,6 @@ use cote_optimizer::cardinality::SimpleCardinality;
 use cote_optimizer::context::OptContext;
 use cote_optimizer::enumerator::{enumerate, EnumOutcome, JoinSite, JoinVisitor};
 use cote_optimizer::memo::{EntryId, MemoEntry, MemoStore};
-use cote_optimizer::par::{enumerate_par, ParallelJoinVisitor};
 use cote_optimizer::properties::order::{is_interesting, Ordering};
 use cote_optimizer::properties::partition::{is_interesting_partition, PartitionVal};
 use cote_optimizer::{OptimizerConfig, PerMethod};
@@ -130,12 +129,6 @@ struct PlanEstimator<'o> {
     prop_probes: u64,
     prop_compares: u64,
     prop_naive_compares: u64,
-    /// Interner sizes at the last [`ParallelJoinVisitor::fork_level`]:
-    /// worker-local ids at or above these are provisional.
-    fork_base: (u32, u32),
-    /// Per-worker provisional-id → merged-id maps, built by
-    /// [`ParallelJoinVisitor::absorb_level`], applied by `remap_payload`.
-    remaps: Vec<(Vec<PropSetId>, Vec<PropSetId>)>,
 }
 
 impl<'o> PlanEstimator<'o> {
@@ -156,8 +149,6 @@ impl<'o> PlanEstimator<'o> {
             prop_probes: 0,
             prop_compares: 0,
             prop_naive_compares: 0,
-            fork_base: (0, 0),
-            remaps: Vec::new(),
         }
     }
 
@@ -604,96 +595,6 @@ impl JoinVisitor for PlanEstimator<'_> {
     }
 }
 
-impl<'o> ParallelJoinVisitor for PlanEstimator<'o> {
-    type Worker = PlanEstimator<'o>;
-
-    fn fork_level(&mut self, workers: usize) -> Vec<PlanEstimator<'o>> {
-        // Workers clone the interner tables: ids below the fork point are
-        // globally consistent; anything a worker interns above it is
-        // provisional and re-interned at the level barrier.
-        self.fork_base = (self.orders_tab.len() as u32, self.parts_tab.len() as u32);
-        self.remaps.clear();
-        (0..workers)
-            .map(|_| {
-                let n = self.levels.len();
-                PlanEstimator {
-                    opts: self.opts,
-                    levels: self.levels.clone(),
-                    level_counts: vec![PerMethod::default(); n],
-                    compound_counts: PerMethod::default(),
-                    // Per-entry state: every joined entry's orientations are
-                    // enumerated within one mask, so a worker-local set gives
-                    // the same first-join answers as the serial walk.
-                    propagated: FxHashSet::default(),
-                    scan_est: 0,
-                    sort_est: 0,
-                    orders_tab: self.orders_tab.clone(),
-                    parts_tab: self.parts_tab.clone(),
-                    prop_probes: 0,
-                    prop_compares: 0,
-                    prop_naive_compares: 0,
-                    fork_base: (0, 0),
-                    remaps: Vec::new(),
-                }
-            })
-            .collect()
-    }
-
-    fn absorb_level(&mut self, workers: Vec<PlanEstimator<'o>>) {
-        let (ob, pb) = self.fork_base;
-        for w in workers {
-            for (a, b) in self.level_counts.iter_mut().zip(&w.level_counts) {
-                a.add(b);
-            }
-            self.compound_counts.add(&w.compound_counts);
-            self.scan_est += w.scan_est;
-            self.sort_est += w.sort_est;
-            self.prop_probes += w.prop_probes;
-            self.prop_compares += w.prop_compares;
-            self.prop_naive_compares += w.prop_naive_compares;
-            // Fold the worker's provisional interner tail into the merged
-            // tables; interner bijection (equal values ⇔ equal ids) makes
-            // the provisional → merged map collision-free.
-            let omap: Vec<PropSetId> = w
-                .orders_tab
-                .iter()
-                .skip(ob as usize)
-                .map(|(_, v)| self.orders_tab.intern(v))
-                .collect();
-            let pmap: Vec<PropSetId> = w
-                .parts_tab
-                .iter()
-                .skip(pb as usize)
-                .map(|(_, v)| self.parts_tab.intern(v))
-                .collect();
-            self.remaps.push((omap, pmap));
-        }
-    }
-
-    fn remap_payload(&mut self, worker: usize, payload: &mut InternedLists) {
-        let (ob, pb) = self.fork_base;
-        let (omap, pmap) = &self.remaps[worker];
-        let ro = |id: &mut PropSetId| {
-            if id.0 >= ob {
-                *id = omap[(id.0 - ob) as usize];
-            }
-        };
-        let rp = |id: &mut PropSetId| {
-            if id.0 >= pb {
-                *id = pmap[(id.0 - pb) as usize];
-            }
-        };
-        payload.orders.iter_mut().for_each(ro);
-        payload.partitions.iter_mut().for_each(rp);
-        for (o, p) in &mut payload.compound {
-            ro(o);
-            if let Some(p) = p {
-                rp(p);
-            }
-        }
-    }
-}
-
 /// Estimate the generated plan counts for one block by reusing the join
 /// enumerator with the simple cardinality model (§4 item 5, §5.2).
 pub fn estimate_block(
@@ -705,11 +606,7 @@ pub fn estimate_block(
     let ctx = OptContext::new(catalog, block, config);
     let mut visitor = PlanEstimator::new(opts, config.composite_inner_limit);
     let span = Span::enter(phase::ESTIMATE);
-    let outcome = if opts.enum_threads > 1 {
-        enumerate_par(&ctx, &SimpleCardinality, &mut visitor, opts.enum_threads)?
-    } else {
-        enumerate(&ctx, &SimpleCardinality, &mut visitor)?
-    };
+    let outcome = enumerate(&ctx, &SimpleCardinality, &mut visitor)?;
     Ok(visitor.finish(span, outcome, block))
 }
 

@@ -16,7 +16,6 @@ use cote_optimizer::cardinality::SimpleCardinality;
 use cote_optimizer::context::OptContext;
 use cote_optimizer::enumerator::{enumerate, JoinSite, JoinVisitor};
 use cote_optimizer::memo::{EntryId, MemoEntry, MemoStore};
-use cote_optimizer::par::{enumerate_par, ParallelJoinVisitor};
 use cote_optimizer::OptimizerConfig;
 use cote_query::Query;
 
@@ -52,27 +51,13 @@ impl JoinVisitor for CountOnly {
     fn finish_entry<M: MemoStore<()>>(&mut self, _: &OptContext<'_>, _: &mut M, _: EntryId) {}
 }
 
-impl ParallelJoinVisitor for CountOnly {
-    type Worker = CountOnly;
-    fn fork_level(&mut self, workers: usize) -> Vec<CountOnly> {
-        (0..workers).map(|_| CountOnly).collect()
-    }
-    fn absorb_level(&mut self, _workers: Vec<CountOnly>) {}
-}
-
 /// Count joins for a query by enumerating (works on any graph shape,
 /// honouring every knob — the paper's argument for enumerator reuse).
 pub fn count_joins(catalog: &Catalog, query: &Query, config: &OptimizerConfig) -> Result<u64> {
     let mut pairs = 0;
     for block in query.blocks() {
         let ctx = OptContext::new(catalog, block, config);
-        let mut v = CountOnly;
-        let out = if config.enum_threads > 1 {
-            enumerate_par(&ctx, &SimpleCardinality, &mut v, config.enum_threads)?
-        } else {
-            enumerate(&ctx, &SimpleCardinality, &mut v)?
-        };
-        pairs += out.pairs;
+        pairs += enumerate(&ctx, &SimpleCardinality, &mut CountOnly)?.pairs;
     }
     Ok(pairs)
 }

@@ -12,8 +12,6 @@ pub struct EstimateOptions {
     /// §6.2 single-pass multi-level estimation: additional composite-inner
     /// limits (below the configured one) to account simultaneously.
     pub levels: Vec<usize>,
-    /// Worker threads for the estimator's counting walk (`1` = serial).
-    pub enum_threads: usize,
 }
 
 impl Default for EstimateOptions {
@@ -22,7 +20,6 @@ impl Default for EstimateOptions {
             first_join_only: true,
             compound_properties: false,
             levels: Vec::new(),
-            enum_threads: 1,
         }
     }
 }
@@ -40,6 +37,5 @@ mod tests {
             "separate lists are the paper's choice"
         );
         assert!(o.levels.is_empty());
-        assert_eq!(o.enum_threads, 1, "parallel estimation is opt-in");
     }
 }

@@ -27,8 +27,8 @@ use crate::ring::{fingerprint, HashRing, DEFAULT_VNODES};
 use cote_common::failpoint::{self, FaultAction};
 use cote_common::Xoshiro256pp;
 use cote_net::{
-    http_body_to_wire, wire_to_http, HttpRequest, NetClient, NetClientConfig, WireHandler,
-    WireRequest, WireResponse,
+    http_body_to_wire, wire_to_http, HttpRequest, NetClient, NetClientConfig, OutcomeTarget,
+    WireHandler, WireRequest, WireResponse,
 };
 use cote_obs::Registry;
 use std::net::SocketAddr;
@@ -396,11 +396,15 @@ impl GatewayCore {
     /// requests the gateway answers locally.
     fn routing_key(req: &WireRequest) -> Option<String> {
         match req {
-            WireRequest::Estimate { index, .. } | WireRequest::Admit { index, .. } => {
-                Some(format!("q:{index}"))
-            }
+            WireRequest::Estimate { index, .. }
+            | WireRequest::Admit { index, .. }
+            | WireRequest::Outcome {
+                target: OutcomeTarget::Index(index),
+                ..
+            } => Some(format!("q:{index}")),
             WireRequest::EstimateSql { sql } => Some(sql.clone()),
-            WireRequest::Ping | WireRequest::Metrics => None,
+            // The ring places SQL by its text, which `OUTCOME sql-…` lacks.
+            WireRequest::Ping | WireRequest::Metrics | WireRequest::Outcome { .. } => None,
         }
     }
 
@@ -461,6 +465,9 @@ impl WireHandler for GatewayCore {
             Some(key) => self.forward(&key, line),
             None => match req {
                 WireRequest::Ping => WireResponse::Ok("pong".into()),
+                WireRequest::Outcome { .. } => {
+                    WireResponse::Err("not routable through the gateway".into())
+                }
                 _ => WireResponse::Ok(self.registry.json()),
             },
         }

@@ -101,11 +101,6 @@ impl FrameBuffer {
         }
     }
 
-    /// The per-line cap.
-    pub fn max_line(&self) -> usize {
-        self.max_line
-    }
-
     /// Append transport bytes (any chunking, including single bytes).
     pub fn push(&mut self, bytes: &[u8]) {
         self.compact();
@@ -217,11 +212,6 @@ impl<R: Read> LineReader<R> {
     /// Total bytes pulled from the underlying reader so far.
     pub fn bytes_read(&self) -> u64 {
         self.bytes_read
-    }
-
-    /// The per-line cap.
-    pub fn max_line(&self) -> usize {
-        self.frames.max_line()
     }
 
     fn fill(&mut self) -> Result<usize, FrameError> {

@@ -12,7 +12,10 @@
 //!          | "ESTIMATE" "SQL" text          ; parse+bind+estimate SQL text
 //!          | "ADMIT"    index [class]       ; compact admit/shed verdict
 //!          | "METRICS"                      ; registry JSON, one line
+//!          | "OUTCOME" target seconds       ; report a real compile time
 //! index    = 1-based index into the served workload's query list
+//! target   = index | "sql-" 16 hex digits    ; the name ESTIMATE SQL returns
+//! seconds  = finite decimal > 0              ; observed compile time
 //! class    = "interactive" | "reporting" | "batch"   ; default: by size
 //! text     = rest of the line (one statement; newlines are frame breaks)
 //!
@@ -26,9 +29,29 @@
 //! replaced), so one-line framing is preserved by construction.
 
 use cote_service::{Decision, QueryClass, ServiceResponse};
+use std::fmt;
+
+/// The statement an `OUTCOME` report is about.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OutcomeTarget {
+    /// 1-based query index.
+    Index(usize),
+    /// Statement fingerprint, written `sql-<16 hex>` as `ESTIMATE SQL`
+    /// names it.
+    Fingerprint(u64),
+}
+
+impl fmt::Display for OutcomeTarget {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            OutcomeTarget::Index(index) => write!(f, "{index}"),
+            OutcomeTarget::Fingerprint(fp) => write!(f, "sql-{fp:016x}"),
+        }
+    }
+}
 
 /// A parsed wire request.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WireRequest {
     /// Liveness probe.
     Ping,
@@ -53,6 +76,14 @@ pub enum WireRequest {
     },
     /// One-line JSON dump of the service metrics registry.
     Metrics,
+    /// The observed compile time of a previously estimated statement, fed
+    /// to the online recalibrator.
+    Outcome {
+        /// Which statement.
+        target: OutcomeTarget,
+        /// Observed seconds (finite, positive).
+        seconds: f64,
+    },
 }
 
 impl WireRequest {
@@ -70,6 +101,9 @@ impl WireRequest {
                 None => format!("ADMIT {index}"),
             },
             WireRequest::Metrics => "METRICS".into(),
+            // f64 Display is shortest-round-trip, so this parses back
+            // bit-identical.
+            WireRequest::Outcome { target, seconds } => format!("OUTCOME {target} {seconds}"),
         }
     }
 }
@@ -118,12 +152,40 @@ pub fn parse_request(line: &str) -> Result<WireRequest, String> {
         } else {
             WireRequest::Admit { index, class }
         }
+    } else if verb.eq_ignore_ascii_case("OUTCOME") {
+        let target = parse_target(parts.next().ok_or("missing outcome target")?)?;
+        let seconds = parts
+            .next()
+            .and_then(|s| s.parse::<f64>().ok())
+            .filter(|s| s.is_finite() && *s > 0.0)
+            .ok_or("outcome seconds must be a finite number > 0")?;
+        WireRequest::Outcome { target, seconds }
     } else {
         return Err(format!("unknown verb '{verb}'"));
     };
     match parts.next() {
         Some(extra) => Err(format!("unexpected trailing token '{extra}'")),
         None => Ok(req),
+    }
+}
+
+/// Parse an `OUTCOME` target: a 1-based index or `sql-<16 hex>`.
+fn parse_target(s: &str) -> Result<OutcomeTarget, String> {
+    if s.get(..4).is_some_and(|p| p.eq_ignore_ascii_case("sql-")) {
+        let hex = &s[4..];
+        return match u64::from_str_radix(hex, 16) {
+            Ok(fp) if hex.len() == 16 && hex.bytes().all(|b| b.is_ascii_hexdigit()) => {
+                Ok(OutcomeTarget::Fingerprint(fp))
+            }
+            _ => Err(format!(
+                "malformed statement name '{s}' (want sql-<16 hex digits>)"
+            )),
+        };
+    }
+    match s.parse() {
+        Ok(0) => Err("query index is 1-based".into()),
+        Ok(index) => Ok(OutcomeTarget::Index(index)),
+        Err(_) => Err("outcome target must be a query index or sql-<16 hex digits>".into()),
     }
 }
 
@@ -230,13 +292,15 @@ pub fn decision_response(query_name: &str, resp: &ServiceResponse, full: bool) -
     }
 }
 
-/// Minimal JSON field extraction for the `POST /estimate` body: finds
-/// `"key"` at any nesting (bodies here are flat) and returns its unsigned
-/// integer value.
-pub fn json_extract_u64(body: &str, key: &str) -> Option<u64> {
+/// Minimal JSON field extraction for the flat `POST` bodies: finds `"key"`
+/// at any nesting and returns the raw text of its numeric value (sign,
+/// digits, point, exponent), left for the caller to parse.
+pub fn json_extract_number<'a>(body: &'a str, key: &str) -> Option<&'a str> {
     let rest = json_value_after_key(body, key)?;
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
+        .unwrap_or(rest.len());
+    Some(&rest[..end]).filter(|n| !n.is_empty())
 }
 
 /// Minimal JSON field extraction: the string value of `"key"`, unescaped
@@ -373,10 +437,14 @@ mod tests {
     #[test]
     fn json_helpers_extract_flat_fields() {
         let body = "{ \"query\": 7, \"class\" : \"batch\" }";
-        assert_eq!(json_extract_u64(body, "query"), Some(7));
+        assert_eq!(json_extract_number(body, "query"), Some("7"));
         assert_eq!(json_extract_str(body, "class"), Some("batch"));
-        assert_eq!(json_extract_u64(body, "missing"), None);
-        assert_eq!(json_extract_u64("{\"query\":\"x\"}", "query"), None);
+        assert_eq!(json_extract_number(body, "missing"), None);
+        assert_eq!(json_extract_number("{\"query\":\"x\"}", "query"), None);
+        assert_eq!(
+            json_extract_number("{\"s\": -2.5e-3}", "s"),
+            Some("-2.5e-3")
+        );
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 

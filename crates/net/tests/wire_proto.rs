@@ -3,7 +3,7 @@
 //! never over-buffers" fuzzing of [`LineReader`].
 
 use cote_net::{parse_class, parse_request};
-use cote_net::{FrameError, LineReader, WireRequest, WireResponse, MAX_LINE_BYTES};
+use cote_net::{FrameError, LineReader, OutcomeTarget, WireRequest, WireResponse, MAX_LINE_BYTES};
 use cote_service::QueryClass;
 use proptest::prelude::*;
 
@@ -16,17 +16,25 @@ fn class_from(tag: u8) -> Option<QueryClass> {
     }
 }
 
-fn request_from(verb: u8, index: usize, class_tag: u8) -> WireRequest {
-    match verb % 4 {
+fn request_from(verb: u8, index: usize, class_tag: u8, fp: u64, seconds: f64) -> WireRequest {
+    match verb % 6 {
         0 => WireRequest::Ping,
         1 => WireRequest::Metrics,
         2 => WireRequest::Estimate {
             index,
             class: class_from(class_tag),
         },
-        _ => WireRequest::Admit {
+        3 => WireRequest::Admit {
             index,
             class: class_from(class_tag),
+        },
+        4 => WireRequest::Outcome {
+            target: OutcomeTarget::Index(index),
+            seconds,
+        },
+        _ => WireRequest::Outcome {
+            target: OutcomeTarget::Fingerprint(fp),
+            seconds,
         },
     }
 }
@@ -42,11 +50,17 @@ proptest! {
 
     #[test]
     fn request_render_parse_round_trips(
-        verb in 0u8..4,
+        verb in 0u8..6,
         index in 1usize..100_000,
         class_tag in 0u8..8,
+        fp in any::<u64>(),
+        mantissa in 1.0f64..10.0,
+        exponent in 0u8..60,
     ) {
-        let req = request_from(verb, index, class_tag);
+        // Finite positive seconds across 60 decades: f64 Display must
+        // render each so it parses back to the same bits.
+        let seconds = mantissa * 10f64.powi(i32::from(exponent) - 30);
+        let req = request_from(verb, index, class_tag, fp, seconds);
         let line = req.render();
         prop_assert!(!line.contains('\n'), "frames are one line: {line:?}");
         prop_assert_eq!(parse_request(&line).unwrap(), req);
@@ -108,6 +122,45 @@ proptest! {
             }
         }
         prop_assert!(r.bytes_read() <= bytes.len() as u64);
+    }
+}
+
+#[test]
+fn outcome_takes_an_index_or_a_statement_name() {
+    assert_eq!(
+        parse_request("OUTCOME 3 0.25").unwrap(),
+        WireRequest::Outcome {
+            target: OutcomeTarget::Index(3),
+            seconds: 0.25
+        }
+    );
+    let req = parse_request("outcome SQL-00000000DEADBEEF 1e-3").unwrap();
+    assert_eq!(
+        req,
+        WireRequest::Outcome {
+            target: OutcomeTarget::Fingerprint(0xdead_beef),
+            seconds: 0.001
+        }
+    );
+    assert_eq!(req.render(), "OUTCOME sql-00000000deadbeef 0.001");
+    for bad in [
+        "OUTCOME",
+        "OUTCOME 1",
+        "OUTCOME 0 0.5",
+        "OUTCOME x 0.5",
+        "OUTCOME 1 0",
+        "OUTCOME 1 -2",
+        "OUTCOME 1 NaN",
+        "OUTCOME 1 inf",
+        "OUTCOME 1 fast",
+        "OUTCOME 1 0.5 extra",
+        "OUTCOME sql- 0.5",
+        "OUTCOME sql-123 0.5",
+        "OUTCOME sql-00000000000000000 0.5",
+        "OUTCOME sql-+000000000000000 0.5",
+        "OUTCOME sql-000000000000000g 0.5",
+    ] {
+        assert!(parse_request(bad).is_err(), "{bad:?} should not parse");
     }
 }
 

@@ -6,18 +6,15 @@
 //! sites), the COTE prediction is not an approximation: every orientation
 //! generates exactly one NLJN, zero MGJN and one HSJN plan, and the
 //! estimator's counting walk must agree with the real plan generator *to
-//! the plan*. The oracle holds for the serial counting walk, for the
-//! parallel one at several thread counts, and against both the serial and
-//! parallel optimizer.
+//! the plan*. The oracle holds for the (serial) counting walk against both
+//! the serial and the parallel optimizer.
 
-use cote::{count_joins, estimate_block, EstimateOptions, TimeModel};
+use cote::{estimate_block, EstimateOptions, TimeModel};
 use cote_optimizer::{Mode, Optimizer, OptimizerConfig};
 use cote_workloads::generators::{corpus, QuerySpec};
 
 mod common;
 use common::Json;
-
-const EST_THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn plain_specs() -> Vec<QuerySpec> {
     corpus(12, 2, 9, 0x04AC)
@@ -47,28 +44,22 @@ fn estimated_counts_equal_actuals_serial_and_parallel() {
         let real = Optimizer::new(cfg.clone())
             .optimize_block(&cat, block)
             .unwrap_or_else(|e| panic!("{spec:?}: {e}"));
-        for threads in EST_THREADS {
-            let opts = EstimateOptions {
-                enum_threads: threads,
-                ..Default::default()
-            };
-            let est = estimate_block(&cat, block, &cfg, &opts)
-                .unwrap_or_else(|e| panic!("{spec:?} @ {threads}: {e}"));
-            assert_eq!(
-                est.counts, real.stats.plans_generated,
-                "{spec:?}: plan counts per method @ {threads} threads"
-            );
-            assert_eq!(est.pairs, real.stats.pairs_enumerated, "{spec:?}");
-            assert_eq!(est.joins, real.stats.joins_enumerated, "{spec:?}");
-            assert_eq!(est.memo_entries, real.memo.len() as u64, "{spec:?}");
-        }
+        let est = estimate_block(&cat, block, &cfg, &EstimateOptions::default())
+            .unwrap_or_else(|e| panic!("{spec:?}: {e}"));
+        assert_eq!(
+            est.counts, real.stats.plans_generated,
+            "{spec:?}: plan counts per method"
+        );
+        assert_eq!(est.pairs, real.stats.pairs_enumerated, "{spec:?}");
+        assert_eq!(est.joins, real.stats.joins_enumerated, "{spec:?}");
+        assert_eq!(est.memo_entries, real.memo.len() as u64, "{spec:?}");
     }
 }
 
 #[test]
 fn estimated_counts_equal_parallel_optimizer_actuals() {
-    // Close the square: the *parallel* optimizer's actuals equal the
-    // parallel estimator's predictions too.
+    // The *parallel* optimizer's actuals equal the serial estimator's
+    // predictions too.
     for spec in plain_specs().into_iter().take(6) {
         let (cat, q) = spec.build();
         let block = &q.root;
@@ -76,11 +67,7 @@ fn estimated_counts_equal_parallel_optimizer_actuals() {
         let real = Optimizer::new(cfg.clone())
             .optimize_block(&cat, block)
             .unwrap_or_else(|e| panic!("{spec:?}: {e}"));
-        let opts = EstimateOptions {
-            enum_threads: 2,
-            ..Default::default()
-        };
-        let est = estimate_block(&cat, block, &cfg, &opts).unwrap();
+        let est = estimate_block(&cat, block, &cfg, &EstimateOptions::default()).unwrap();
         assert_eq!(est.counts, real.stats.plans_generated, "{spec:?}");
         assert_eq!(est.pairs, real.stats.pairs_enumerated, "{spec:?}");
     }
@@ -89,8 +76,7 @@ fn estimated_counts_equal_parallel_optimizer_actuals() {
 /// Layout-differential oracle for the estimator walk: predicted per-method
 /// counts, memory quantities and predicted compilation seconds (under a
 /// fixed paper-ratio time model, so the prediction is deterministic) must
-/// stay bit-identical to the goldens captured from the pre-refactor layout,
-/// at every thread count.
+/// stay bit-identical to the goldens captured from the pre-refactor layout.
 #[test]
 fn estimator_layout_matches_pre_refactor_goldens() {
     // The paper's serial DB2 ratio C_m:C_n:C_h = 5:2:4, plus an intercept:
@@ -107,31 +93,9 @@ fn estimator_layout_matches_pre_refactor_goldens() {
             let (cat, q) = spec.build();
             let block = &q.root;
             let cfg = exact_config();
-            let mut first = None;
-            for threads in EST_THREADS {
-                let opts = EstimateOptions {
-                    enum_threads: threads,
-                    ..Default::default()
-                };
-                let est = estimate_block(&cat, block, &cfg, &opts)
-                    .unwrap_or_else(|e| panic!("{spec:?} @ {threads}: {e}"));
-                let facts = (
-                    est.counts,
-                    est.pairs,
-                    est.joins,
-                    est.memo_entries,
-                    est.property_values,
-                    est.scan_plans,
-                    est.sort_plans,
-                    est.group_plans,
-                );
-                match &first {
-                    None => first = Some(facts),
-                    Some(f) => assert_eq!(*f, facts, "{spec:?} diverged at {threads} threads"),
-                }
-            }
-            let (counts, pairs, joins, memo_entries, property_values, scans, sorts, groups) =
-                first.expect("at least one thread count");
+            let est = estimate_block(&cat, block, &cfg, &EstimateOptions::default())
+                .unwrap_or_else(|e| panic!("{spec:?}: {e}"));
+            let counts = est.counts;
             Json::Obj(vec![
                 (
                     "spec".into(),
@@ -143,13 +107,13 @@ fn estimator_layout_matches_pre_refactor_goldens() {
                 ("nljn".into(), Json::u64(counts.nljn)),
                 ("mgjn".into(), Json::u64(counts.mgjn)),
                 ("hsjn".into(), Json::u64(counts.hsjn)),
-                ("pairs".into(), Json::u64(pairs)),
-                ("joins".into(), Json::u64(joins)),
-                ("memo_entries".into(), Json::u64(memo_entries)),
-                ("property_values".into(), Json::u64(property_values)),
-                ("scan_plans".into(), Json::u64(scans)),
-                ("sort_plans".into(), Json::u64(sorts)),
-                ("group_plans".into(), Json::u64(groups)),
+                ("pairs".into(), Json::u64(est.pairs)),
+                ("joins".into(), Json::u64(est.joins)),
+                ("memo_entries".into(), Json::u64(est.memo_entries)),
+                ("property_values".into(), Json::u64(est.property_values)),
+                ("scan_plans".into(), Json::u64(est.scan_plans)),
+                ("sort_plans".into(), Json::u64(est.sort_plans)),
+                ("group_plans".into(), Json::u64(est.group_plans)),
                 (
                     "predicted_seconds_bits".into(),
                     Json::f64_bits(model.predict_seconds(&counts)),
@@ -161,25 +125,8 @@ fn estimator_layout_matches_pre_refactor_goldens() {
         "tests/fixtures/memo_layout_estimator.json",
         &Json::Obj(vec![
             ("suite".into(), Json::Str("memo-layout-estimator".into())),
-            (
-                "threads".into(),
-                Json::Arr(EST_THREADS.iter().map(|&t| Json::u64(t as u64)).collect()),
-            ),
+            ("threads".into(), Json::Arr(vec![Json::u64(1)])),
             ("specs".into(), Json::Arr(rows)),
         ]),
     );
-}
-
-#[test]
-fn join_counts_are_thread_invariant() {
-    // The baseline estimator's enumerating counter threads the same
-    // machinery: counts must not depend on the worker count.
-    for spec in plain_specs().into_iter().take(6) {
-        let (cat, q) = spec.build();
-        let serial = count_joins(&cat, &q, &exact_config()).unwrap();
-        for threads in [2, 4, 8] {
-            let par = count_joins(&cat, &q, &exact_config().with_enum_threads(threads)).unwrap();
-            assert_eq!(serial, par, "{spec:?} @ {threads} threads");
-        }
-    }
 }

@@ -74,22 +74,3 @@ fn full_propagation_widens_the_gap() {
         ratio(fast)
     );
 }
-
-#[test]
-fn parallel_estimation_reports_comparable_savings() {
-    // The worker interner fork/remap protocol must not change the counts'
-    // order of magnitude (workers re-probe shared prefixes, so totals are
-    // not bit-equal across thread counts — but the naive side still
-    // dominates).
-    let opts = EstimateOptions {
-        enum_threads: 4,
-        ..Default::default()
-    };
-    let (probes, compares, naive) = totals("linear-s", &opts);
-    assert!(probes > 0);
-    assert!(
-        naive >= 2 * compares,
-        "interning savings survive parallel enumeration: \
-         naive {naive} vs interned {compares}"
-    );
-}
