@@ -33,7 +33,9 @@ use cote_common::failpoint::{self, FaultSpec, FireMode, SiteStats};
 use cote_common::fxhash::fxhash64;
 use cote_common::{ColRef, TableId, TableRef};
 use cote_gateway::{BreakerState, Gateway, GatewayConfig, GatewayCore};
-use cote_net::{NetClient, NetClientConfig, NetConfig, NetServer, WireRequest, WireResponse};
+use cote_net::{
+    NetClient, NetClientConfig, NetConfig, NetServer, ServiceHandler, WireRequest, WireResponse,
+};
 use cote_optimizer::{Mode as OptMode, OptimizerConfig};
 use cote_query::{Query, QueryBlockBuilder};
 use cote_service::{CoteService, ServiceConfig};
@@ -285,8 +287,7 @@ impl Cluster {
                 backend_service_cfg(),
             ));
             let server = NetServer::bind(
-                Arc::clone(&svc),
-                Arc::clone(&queries),
+                Arc::new(ServiceHandler::new(Arc::clone(&svc), Arc::clone(&queries))),
                 "127.0.0.1:0",
                 NetConfig::default(),
             )

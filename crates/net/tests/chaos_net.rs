@@ -10,7 +10,9 @@ use cote_catalog::{Catalog, ColumnDef, TableDef};
 use cote_common::failpoint::{self, FaultAction, FaultSpec};
 use cote_common::{ColRef, TableId, TableRef};
 use cote_net::proto::json_extract_str;
-use cote_net::{chaos, NetClient, NetClientConfig, NetConfig, NetServer, WireResponse};
+use cote_net::{
+    chaos, NetClient, NetClientConfig, NetConfig, NetServer, ServiceHandler, WireResponse,
+};
 use cote_optimizer::{Mode as OptMode, OptimizerConfig};
 use cote_query::{Query, QueryBlockBuilder};
 use cote_service::{CoteService, QueryClass, ServiceConfig};
@@ -97,13 +99,8 @@ fn client_cfg() -> NetClientConfig {
 /// server's accept and loop threads inherit it.
 fn bind_scoped(svc: &Arc<CoteService>, queries: &Arc<Vec<Query>>, scope: &str) -> NetServer {
     failpoint::set_thread_scope(scope);
-    let server = NetServer::bind(
-        Arc::clone(svc),
-        Arc::clone(queries),
-        "127.0.0.1:0",
-        NetConfig::default(),
-    )
-    .unwrap();
+    let handler = Arc::new(ServiceHandler::new(Arc::clone(svc), Arc::clone(queries)));
+    let server = NetServer::bind(handler, "127.0.0.1:0", NetConfig::default()).unwrap();
     failpoint::set_thread_scope("");
     server
 }
