@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ]);
     let (mut cote_pred, mut base_pred, mut act) = (Vec::new(), Vec::new(), Vec::new());
     for (a, (_, e)) in actual.iter().zip(&est) {
-        let c = cote.model().predict_seconds(&e.totals.counts);
+        let c = cote.model().predict(&e.totals.counts, e.totals.joins);
         let joins = e.totals.pairs;
         let b = baseline.predict_seconds(joins);
         cote_pred.push(c);

@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut t = TextTable::new(vec!["query", "actual (s)", "estimated (s)", "error"]);
     let (mut pred, mut act) = (Vec::new(), Vec::new());
     for (a, (_, e)) in actual.iter().zip(&est) {
-        let predicted = cote.model().predict_seconds(&e.totals.counts);
+        let predicted = cote.model().predict(&e.totals.counts, e.totals.joins);
         pred.push(predicted);
         act.push(a.seconds);
         t.row(vec![

@@ -7,7 +7,8 @@
 //! so `cote calibrate --online` (and the CI `calib-smoke` job) can prove the
 //! loop closes:
 //!
-//! 1. estimate per-query plan counts once with the calibrated [`Cote`];
+//! 1. estimate per-query plan and join counts once with the calibrated
+//!    [`Cote`];
 //! 2. replay the workload for `rounds` rounds; at the midpoint the ground
 //!    truth switches from the static model to a drifted one (all
 //!    coefficients scaled by `tinst_scale`, each `C_t` additionally
@@ -65,6 +66,7 @@ impl DriftSpec {
             c_nljn: base.c_nljn * self.tinst_scale * self.ct_perturb[0],
             c_mgjn: base.c_mgjn * self.tinst_scale * self.ct_perturb[1],
             c_hsjn: base.c_hsjn * self.tinst_scale * self.ct_perturb[2],
+            c_join: base.c_join * self.tinst_scale,
             intercept: base.intercept * self.tinst_scale,
         }
     }
@@ -158,10 +160,13 @@ pub fn replay_online_drift(
 ) -> Result<ReplayReport> {
     let static_model = cote.model().clone();
     let drifted = spec.drifted_model(&static_model);
-    let counts: Vec<(String, PerMethod)> = w
+    let counts: Vec<(PerMethod, u64)> = w
         .queries
         .iter()
-        .map(|q| Ok((q.name.clone(), cote.estimate(&w.catalog, q)?.counts)))
+        .map(|q| {
+            let e = cote.estimate(&w.catalog, q)?;
+            Ok((e.counts, e.detail.totals.joins))
+        })
         .collect::<Result<_>>()?;
 
     let mut regressor = OnlineRegressor::new(&static_model, OnlineConfig::default());
@@ -178,16 +183,16 @@ pub fn replay_online_drift(
             &drifted
         };
         last_round = PhaseTally::new();
-        for (_, c) in &counts {
-            let truth = truth_model.predict_seconds(c);
+        for &(c, j) in &counts {
+            let truth = truth_model.predict(&c, j);
             let observed = truth * (1.0 + spec.noise * rng.range_f64(-1.0, 1.0));
             if !(observed.is_finite() && observed > 0.0) {
                 continue;
             }
-            let static_pred = static_model.predict_seconds(c);
+            let static_pred = static_model.predict(&c, j);
             // Prequential: observe() returns the prediction the online
             // model made *before* folding this observation in.
-            let online_pred = regressor.observe(c, observed);
+            let online_pred = regressor.observe(&c, j, observed);
             tracker.observe(online_pred, observed);
             max_score = max_score.max(tracker.drift_score());
             let tally = if round < onset { &mut pre } else { &mut post };
@@ -220,6 +225,7 @@ mod tests {
                 c_nljn: 4e-7,
                 c_mgjn: 2e-7,
                 c_hsjn: 3e-7,
+                c_join: 5e-7,
                 intercept: 2e-4,
             },
         )
@@ -270,6 +276,7 @@ mod tests {
             c_nljn: 1.0,
             c_mgjn: 1.0,
             c_hsjn: 1.0,
+            c_join: 1.0,
             intercept: 1.0,
         };
         let spec = DriftSpec {
@@ -281,6 +288,7 @@ mod tests {
         assert_eq!(d.c_nljn, 3.0);
         assert_eq!(d.c_mgjn, 1.0);
         assert_eq!(d.c_hsjn, 2.0);
+        assert_eq!(d.c_join, 2.0);
         assert_eq!(d.intercept, 2.0);
     }
 }

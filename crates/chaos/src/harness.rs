@@ -225,6 +225,7 @@ fn cote() -> Cote {
             c_nljn: 1e-6,
             c_mgjn: 1e-6,
             c_hsjn: 1e-6,
+            c_join: 0.0,
             intercept: 0.0,
         },
     )

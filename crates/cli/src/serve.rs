@@ -314,6 +314,7 @@ mod tests {
             c_nljn: 1e-6,
             c_mgjn: 1e-6,
             c_hsjn: 1e-6,
+            c_join: 0.0,
             intercept: 0.0,
         };
         let cote = cote::Cote::new(OptimizerConfig::high(w.mode), model);

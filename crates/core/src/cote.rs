@@ -63,7 +63,7 @@ impl Cote {
         let detail = estimate_query(catalog, query, &self.config, &self.options)?;
         let counts = detail.totals.counts;
         Ok(CompileTimeEstimate {
-            seconds: self.model.predict_seconds(&counts),
+            seconds: self.model.predict(&counts, detail.totals.joins),
             counts,
             detail,
         })
@@ -76,19 +76,20 @@ impl Cote {
         Ok(self
             .estimate_level_counts(catalog, query)?
             .into_iter()
-            .map(|(l, c)| (l, self.model.predict_seconds(&c)))
+            .map(|(l, c, j)| (l, self.model.predict(&c, j)))
             .collect())
     }
 
-    /// Per-level plan counts for every level requested through
-    /// [`EstimateOptions::levels`], configured level first. The counts are
-    /// model-free, so a caller holding a fresher [`TimeModel`] (e.g. an
-    /// online-recalibrated one) can price them itself.
+    /// Per-level `(limit, plan counts, join count)` for every level
+    /// requested through [`EstimateOptions::levels`], configured level
+    /// first. The counts are model-free, so a caller holding a fresher
+    /// [`TimeModel`] (e.g. an online-recalibrated one) can price them
+    /// itself.
     pub fn estimate_level_counts(
         &self,
         catalog: &Catalog,
         query: &Query,
-    ) -> Result<Vec<(usize, PerMethod)>> {
+    ) -> Result<Vec<(usize, PerMethod, u64)>> {
         let detail = estimate_query(catalog, query, &self.config, &self.options)?;
         let mut limits = vec![self.config.composite_inner_limit];
         limits.extend(
@@ -98,10 +99,11 @@ impl Cote {
                 .copied()
                 .filter(|&l| l < self.config.composite_inner_limit),
         );
+        let totals = &detail.totals;
         Ok(limits
             .into_iter()
-            .zip(&detail.totals.level_counts)
-            .map(|(l, c)| (l, *c))
+            .zip(totals.level_counts.iter().zip(&totals.level_joins))
+            .map(|(l, (c, &j))| (l, *c, j))
             .collect())
     }
 }
@@ -143,6 +145,7 @@ mod tests {
             c_nljn: 1.0,
             c_mgjn: 1.0,
             c_hsjn: 1.0,
+            c_join: 0.0,
             intercept: 0.0,
         }
     }
@@ -155,6 +158,16 @@ mod tests {
         assert!(e.seconds > 0.0);
         assert_eq!(e.seconds, e.counts.total() as f64, "unit model sums counts");
         assert!(e.detail.elapsed.as_nanos() > 0);
+        let per_join = TimeModel {
+            c_join: 0.5,
+            ..unit_model()
+        };
+        let e = Cote::new(OptimizerConfig::high(Mode::Serial), per_join)
+            .estimate(&cat, &q)
+            .unwrap();
+        let joins = e.detail.totals.joins;
+        assert!(joins > 0);
+        assert_eq!(e.seconds, 0.5 * joins as f64 + e.counts.total() as f64);
     }
 
     #[test]

@@ -43,6 +43,9 @@ pub struct BlockEstimate {
     /// Per-level counts when [`EstimateOptions::levels`] requested the
     /// single-pass multi-level estimate (§6.2); parallel to `levels`.
     pub level_counts: Vec<PerMethod>,
+    /// Enumerated orientations each level admits, parallel to
+    /// `level_counts`: the `J` that prices a level.
+    pub level_joins: Vec<u64>,
     /// Counts produced by the compound-property alternative (§3.4), when
     /// enabled.
     pub compound_counts: Option<PerMethod>,
@@ -83,6 +86,12 @@ impl BlockEstimate {
         for (a, b) in self.level_counts.iter_mut().zip(&other.level_counts) {
             a.add(b);
         }
+        if self.level_joins.len() < other.level_joins.len() {
+            self.level_joins.resize(other.level_joins.len(), 0);
+        }
+        for (a, b) in self.level_joins.iter_mut().zip(&other.level_joins) {
+            *a += b;
+        }
         if let Some(oc) = &other.compound_counts {
             self.compound_counts
                 .get_or_insert_with(PerMethod::default)
@@ -117,6 +126,7 @@ struct PlanEstimator<'o> {
     /// `levels[0]` is the configured level.
     levels: Vec<usize>,
     level_counts: Vec<PerMethod>,
+    level_joins: Vec<u64>,
     compound_counts: PerMethod,
     propagated: FxHashSet<u32>,
     scan_est: u64,
@@ -140,6 +150,7 @@ impl<'o> PlanEstimator<'o> {
             opts,
             levels,
             level_counts: vec![PerMethod::default(); n],
+            level_joins: vec![0; n],
             compound_counts: PerMethod::default(),
             propagated: FxHashSet::default(),
             scan_est: 0,
@@ -182,6 +193,7 @@ impl<'o> PlanEstimator<'o> {
         BlockEstimate {
             counts: self.level_counts[0],
             level_counts: self.level_counts,
+            level_joins: self.level_joins,
             compound_counts: self
                 .opts
                 .compound_properties
@@ -207,6 +219,16 @@ impl<'o> PlanEstimator<'o> {
         for (i, &limit) in self.levels.iter().enumerate() {
             if inner_len <= limit {
                 *self.level_counts[i].get_mut(method) += amount;
+            }
+        }
+    }
+
+    /// Charge one orientation whose inner has `inner_len` tables to every
+    /// level whose limit admits it, like [`charge`](Self::charge).
+    fn charge_join(&mut self, inner_len: usize) {
+        for (joins, &limit) in self.level_joins.iter_mut().zip(&self.levels) {
+            if inner_len <= limit {
+                *joins += 1;
             }
         }
     }
@@ -486,6 +508,7 @@ impl JoinVisitor for PlanEstimator<'_> {
             let exp_factor = 1u64 << (exp_tables(o_entry.set) + exp_tables(i_entry.set)).min(32);
 
             // ---- accumulate_plans (Table 3) ----
+            self.charge_join(inner_len);
             if methods.nljn {
                 self.charge(
                     Nljn,
@@ -818,6 +841,28 @@ mod tests {
             direct.counts.total() <= l1,
             "piggyback ≥ direct (shared top-level lists)"
         );
+    }
+
+    #[test]
+    fn level_joins_count_each_levels_orientations() {
+        let cat = catalog(6);
+        let cfg = OptimizerConfig::high(Mode::Serial);
+        let opts = EstimateOptions {
+            levels: vec![1, 2],
+            ..Default::default()
+        };
+        for orderby in [false, true] {
+            let est = estimate_block(&cat, &chain(&cat, 6, orderby), &cfg, &opts).unwrap();
+            assert_eq!(est.level_joins.len(), est.level_counts.len());
+            assert_eq!(est.level_joins[0], est.joins);
+            // Serial mode, no expensive predicates: one HSJN plan per
+            // orientation, so each level's HSJN count is its join count.
+            for (counts, &joins) in est.level_counts.iter().zip(&est.level_joins) {
+                assert_eq!(counts.hsjn, joins);
+            }
+            assert!(est.level_joins[1] < est.level_joins[2]);
+            assert!(est.level_joins[2] < est.level_joins[0]);
+        }
     }
 
     #[test]

@@ -95,6 +95,7 @@ mod tests {
             c_nljn: 1e-6,
             c_mgjn: 1e-6,
             c_hsjn: 1e-6,
+            c_join: 0.0,
             intercept: 1e-4,
         };
         let cote = Cote::new(OptimizerConfig::high(Mode::Serial), model);

@@ -11,7 +11,8 @@
 //! (bypassing plan generation), maintains per-MEMO-entry lists of
 //! interesting physical property values to count the plans each join would
 //! generate, and converts counts to seconds through a regression-calibrated
-//! linear model `T = Σ_t C_t · P_t`.
+//! linear model `T = c_J·J + Σ_t C_t · P_t`: the paper's plans-only model
+//! plus a term per enumerated join orientation `J`.
 //!
 //! ```
 //! use cote::{calibrate, Cote};
@@ -68,7 +69,10 @@ pub mod reopt;
 pub mod statement_cache;
 pub mod time_model;
 
-pub use calibrate::{calibrate, calibrate_multi, calibrate_per_phase, Calibration, TrainingPoint};
+pub use calibrate::{
+    calibrate, calibrate_multi, calibrate_per_phase, fit_per_phase, fit_total, training_error,
+    training_points, Calibration, Columns, TrainingPoint,
+};
 pub use cote::{CompileTimeEstimate, Cote};
 pub use estimator::{estimate_block, estimate_query, property_lists, BlockEstimate, QueryEstimate};
 pub use fingerprint::{fingerprint, StructuralHasher};

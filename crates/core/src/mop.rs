@@ -129,6 +129,7 @@ mod tests {
             c_nljn: 1e-3,
             c_mgjn: 1e-3,
             c_hsjn: 1e-3,
+            c_join: 0.0,
             intercept: 0.0,
         }
     }

@@ -4,7 +4,8 @@
 //! estimator drifts away from that fit — the machine changes (`T_inst`), a
 //! release changes per-plan work (`C_t`), background load skews timings.
 //! [`OnlineRegressor`] closes the loop: every completed optimization reports
-//! its `(plan counts, actual seconds)` observation and the coefficients are
+//! its `(plan counts, join count, actual seconds)` observation and the
+//! coefficients (the join term `c_J` among them) are
 //! updated in place by recursive least squares with exponential (EWMA)
 //! forgetting, so recent traffic dominates the fit.
 //!
@@ -21,8 +22,8 @@
 use crate::time_model::TimeModel;
 use cote_optimizer::PerMethod;
 
-/// Coefficients tracked: NLJN, MGJN, HSJN, intercept.
-const K: usize = 4;
+/// Coefficients tracked: NLJN, MGJN, HSJN, intercept, join.
+const K: usize = 5;
 
 /// Tuning for [`OnlineRegressor`].
 #[derive(Debug, Clone, PartialEq)]
@@ -57,22 +58,22 @@ impl Default for OnlineConfig {
 /// use cote::TimeModel;
 /// use cote_optimizer::PerMethod;
 ///
-/// let seed = TimeModel { c_nljn: 1e-6, c_mgjn: 1e-6, c_hsjn: 1e-6, intercept: 0.0 };
+/// let seed = TimeModel { c_nljn: 1e-6, c_mgjn: 1e-6, c_hsjn: 1e-6, c_join: 5e-6, intercept: 0.0 };
 /// let mut reg = OnlineRegressor::new(&seed, OnlineConfig::default());
-/// let counts = PerMethod { nljn: 500, mgjn: 200, hsjn: 300 };
+/// let (counts, joins) = (PerMethod { nljn: 500, mgjn: 200, hsjn: 300 }, 40);
 /// // The deployed machine is 2x slower than the calibration machine:
 /// for _ in 0..40 {
-///     reg.observe(&counts, 2.0 * seed.predict_seconds(&counts));
+///     reg.observe(&counts, joins, 2.0 * seed.predict(&counts, joins));
 /// }
-/// let adapted = reg.model().predict_seconds(&counts);
-/// let seeded = seed.predict_seconds(&counts);
+/// let adapted = reg.model().predict(&counts, joins);
+/// let seeded = seed.predict(&counts, joins);
 /// assert!((adapted - 2.0 * seeded).abs() / (2.0 * seeded) < 0.05);
 /// ```
 #[derive(Debug, Clone)]
 pub struct OnlineRegressor {
     seed: TimeModel,
     cfg: OnlineConfig,
-    /// Coefficients `[c_nljn, c_mgjn, c_hsjn, intercept]`.
+    /// Coefficients `[c_nljn, c_mgjn, c_hsjn, intercept, c_join]`.
     theta: [f64; K],
     /// Inverse-covariance estimate `P`.
     p: [[f64; K]; K],
@@ -82,7 +83,13 @@ pub struct OnlineRegressor {
 impl OnlineRegressor {
     /// A regressor seeded with the offline fit.
     pub fn new(seed: &TimeModel, cfg: OnlineConfig) -> Self {
-        let theta = [seed.c_nljn, seed.c_mgjn, seed.c_hsjn, seed.intercept];
+        let theta = [
+            seed.c_nljn,
+            seed.c_mgjn,
+            seed.c_hsjn,
+            seed.intercept,
+            seed.c_join,
+        ];
         let mut p = [[0.0; K]; K];
         for (i, row) in p.iter_mut().enumerate() {
             row[i] = cfg.initial_variance.max(f64::MIN_POSITIVE);
@@ -112,12 +119,7 @@ impl OnlineRegressor {
         if self.warming_up() {
             return self.seed.clone();
         }
-        TimeModel {
-            c_nljn: self.theta[0],
-            c_mgjn: self.theta[1],
-            c_hsjn: self.theta[2],
-            intercept: self.theta[3],
-        }
+        TimeModel::from_coefficients(&self.theta)
     }
 
     /// The seed (offline) model the regressor started from.
@@ -125,11 +127,12 @@ impl OnlineRegressor {
         &self.seed
     }
 
-    /// Absorb one `(counts, actual seconds)` observation and return the
-    /// model's *prior* prediction for it (the prequential estimate, useful
-    /// for residual tracking: predicted before the update saw the truth).
-    pub fn observe(&mut self, counts: &PerMethod, actual_seconds: f64) -> f64 {
-        let predicted = self.model().predict_seconds(counts);
+    /// Absorb one `(counts, joins, actual seconds)` observation and return
+    /// the model's *prior* prediction for it (the prequential estimate,
+    /// useful for residual tracking: predicted before the update saw the
+    /// truth).
+    pub fn observe(&mut self, counts: &PerMethod, joins: u64, actual_seconds: f64) -> f64 {
+        let predicted = self.model().predict(counts, joins);
         if !actual_seconds.is_finite() || actual_seconds <= 0.0 {
             return predicted; // a non-timing (failed/poisoned) report
         }
@@ -140,6 +143,7 @@ impl OnlineRegressor {
             counts.mgjn as f64 / y,
             counts.hsjn as f64 / y,
             1.0 / y,
+            joins as f64 / y,
         ];
         let lambda = self.cfg.forgetting.clamp(1e-3, 1.0);
 
@@ -179,13 +183,16 @@ impl OnlineRegressor {
 mod tests {
     use super::*;
 
-    fn counts_stream() -> Vec<PerMethod> {
-        // Varying mixes so all four coefficients are identified.
+    fn counts_stream() -> Vec<(PerMethod, u64)> {
+        // Varying mixes so all five coefficients are identified.
         (0..12)
-            .map(|i| PerMethod {
-                nljn: 100 + 90 * (i % 5),
-                mgjn: 40 + 60 * (i % 3),
-                hsjn: 60 + 30 * (i % 4),
+            .map(|i| {
+                let counts = PerMethod {
+                    nljn: 100 + 90 * (i % 5),
+                    mgjn: 40 + 60 * (i % 3),
+                    hsjn: 60 + 30 * (i % 4),
+                };
+                (counts, 20 + 15 * (i % 7))
             })
             .collect()
     }
@@ -195,6 +202,7 @@ mod tests {
             c_nljn: 2e-6,
             c_mgjn: 5e-6,
             c_hsjn: 4e-6,
+            c_join: 1e-5,
             intercept: 1e-4,
         }
     }
@@ -204,8 +212,8 @@ mod tests {
         let mut reg = OnlineRegressor::new(&seed(), OnlineConfig::default());
         assert!(reg.warming_up());
         assert_eq!(reg.model(), seed());
-        for c in counts_stream().iter().take(7) {
-            reg.observe(c, seed().predict_seconds(c));
+        for (c, j) in counts_stream().iter().take(7) {
+            reg.observe(c, *j, seed().predict(c, *j));
         }
         assert!(reg.warming_up(), "7 < warmup of 8");
         assert_eq!(reg.model(), seed());
@@ -218,15 +226,15 @@ mod tests {
         let mut reg = OnlineRegressor::new(&seed(), OnlineConfig::default());
         let stream = counts_stream();
         for round in 0..6 {
-            for c in &stream {
+            for (c, j) in &stream {
                 let _ = round;
-                reg.observe(c, 1.7 * seed().predict_seconds(c));
+                reg.observe(c, *j, 1.7 * seed().predict(c, *j));
             }
         }
         let m = reg.model();
-        for c in &stream {
-            let want = 1.7 * seed().predict_seconds(c);
-            let got = m.predict_seconds(c);
+        for (c, j) in &stream {
+            let want = 1.7 * seed().predict(c, *j);
+            let got = m.predict(c, *j);
             assert!(((got - want) / want).abs() < 0.05, "want {want}, got {got}");
         }
         assert!(!reg.warming_up());
@@ -239,18 +247,18 @@ mod tests {
         let stream = counts_stream();
         // Phase 1: truth == seed. Phase 2: truth jumps to 3x.
         for _ in 0..3 {
-            for c in &stream {
-                reg.observe(c, seed().predict_seconds(c));
+            for (c, j) in &stream {
+                reg.observe(c, *j, seed().predict(c, *j));
             }
         }
-        let before = reg.model().predict_seconds(&stream[0]);
+        let before = reg.model().predict(&stream[0].0, stream[0].1);
         for _ in 0..20 {
-            for c in &stream {
-                reg.observe(c, 3.0 * seed().predict_seconds(c));
+            for (c, j) in &stream {
+                reg.observe(c, *j, 3.0 * seed().predict(c, *j));
             }
         }
-        let after = reg.model().predict_seconds(&stream[0]);
-        let want = 3.0 * seed().predict_seconds(&stream[0]);
+        let after = reg.model().predict(&stream[0].0, stream[0].1);
+        let want = 3.0 * seed().predict(&stream[0].0, stream[0].1);
         assert!(
             ((after - want) / want).abs() < 0.10,
             "before {before}, after {after}, want {want}"
@@ -262,22 +270,28 @@ mod tests {
         let mut reg = OnlineRegressor::new(&seed(), OnlineConfig::default());
         // Adversarial stream: tiny actuals that plain RLS would chase below
         // zero on some coefficients.
-        for (i, c) in counts_stream().iter().cycle().take(60).enumerate() {
+        for (i, (c, j)) in counts_stream().iter().cycle().take(60).enumerate() {
             let scale = if i % 2 == 0 { 0.05 } else { 2.5 };
-            reg.observe(c, scale * seed().predict_seconds(c));
+            reg.observe(c, *j, scale * seed().predict(c, *j));
         }
         let m = reg.model();
-        assert!(m.c_nljn >= 0.0 && m.c_mgjn >= 0.0 && m.c_hsjn >= 0.0 && m.intercept >= 0.0);
+        assert!(
+            m.c_nljn >= 0.0
+                && m.c_mgjn >= 0.0
+                && m.c_hsjn >= 0.0
+                && m.c_join >= 0.0
+                && m.intercept >= 0.0
+        );
     }
 
     #[test]
     fn rejects_nonpositive_and_nonfinite_actuals() {
         let mut reg = OnlineRegressor::new(&seed(), OnlineConfig::default());
-        let c = counts_stream()[0];
-        reg.observe(&c, 0.0);
-        reg.observe(&c, -1.0);
-        reg.observe(&c, f64::NAN);
-        reg.observe(&c, f64::INFINITY);
+        let (c, j) = counts_stream()[0];
+        reg.observe(&c, j, 0.0);
+        reg.observe(&c, j, -1.0);
+        reg.observe(&c, j, f64::NAN);
+        reg.observe(&c, j, f64::INFINITY);
         assert_eq!(reg.observations(), 0, "bad reports are dropped");
         assert_eq!(reg.model(), seed());
     }
@@ -291,10 +305,10 @@ mod tests {
                 ..Default::default()
             },
         );
-        let c = counts_stream()[0];
-        let before = reg.model().predict_seconds(&c);
-        let reported = reg.observe(&c, 10.0 * before);
+        let (c, j) = counts_stream()[0];
+        let before = reg.model().predict(&c, j);
+        let reported = reg.observe(&c, j, 10.0 * before);
         assert_eq!(reported, before, "prequential: predicted before update");
-        assert!(reg.model().predict_seconds(&c) > before, "model moved");
+        assert!(reg.model().predict(&c, j) > before, "model moved");
     }
 }

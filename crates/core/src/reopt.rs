@@ -102,6 +102,7 @@ mod tests {
             c_nljn: 1e-4,
             c_mgjn: 1e-4,
             c_hsjn: 1e-4,
+            c_join: 0.0,
             intercept: 0.0,
         };
         let cote = Cote::new(OptimizerConfig::high(Mode::Serial), model);

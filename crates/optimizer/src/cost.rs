@@ -3,15 +3,24 @@
 //! Paper §3.1: "a large amount of time in generating a plan is spent on
 //! estimating the execution cost … commercial systems build sophisticated
 //! execution cost models". This module is deliberately the *expensive* part
-//! of plan generation: every join plan costed here re-derives the join-value
-//! distribution bucket-by-bucket from the input histograms (buffer locality
-//! via Yao's formula, merge run skew, hash bucket fill), so that bypassing
-//! plan generation — what COTE does — removes the dominant cost, exactly as
-//! in DB2 (Fig. 2, Fig. 4).
+//! of plan generation: a join's cost re-derives the join-value distribution
+//! bucket-by-bucket from the input histograms (buffer locality via Yao's
+//! formula, merge run skew, hash bucket fill), so that bypassing plan
+//! generation — what COTE does — removes the dominant cost, exactly as in
+//! DB2 (Fig. 2, Fig. 4).
+//!
+//! The walk is per join site, not per plan. Its results ([`JoinProfile`],
+//! MGJN's run and rewind terms) depend only on the two histograms and the
+//! two input [`StreamStats`], so [`JoinTermCache`] computes them once per
+//! oriented join and input-stats pair; each plan then prices only its own
+//! arithmetic (`*_from`: input costs, output rows, buffer). Splitting a
+//! cost into "terms" and "cost from terms" keeps every expression as it
+//! was, so a cached price is bit-identical to a fresh `*_cost`.
 //!
 //! Absolute numbers are abstract "cost units"; only relative comparisons
 //! matter to pruning.
 
+use crate::properties::JoinMethod;
 use cote_catalog::{EquiDepthHistogram, TableDef};
 
 /// Weight of one page I/O in cost units.
@@ -103,7 +112,7 @@ pub fn yao_pages(pages: f64, accesses: f64) -> f64 {
     pages * (1.0 - (1.0 - 1.0 / pages).powf(accesses))
 }
 
-/// Per-plan bucket-aligned join profile: the deliberately expensive walk.
+/// Per-join bucket-aligned join profile: the deliberately expensive walk.
 ///
 /// Streams are modeled as the base histograms scaled to the current input
 /// cardinalities (`scale_o`, `scale_i`); for each aligned bucket pair we
@@ -258,80 +267,43 @@ impl JoinCostInput<'_> {
             self.inner.rows / self.inner_hist.total_rows().max(1.0),
         )
     }
-}
 
-/// Nested-loops join: outer once; inner probed per outer row with
-/// buffer-locality credit from the bucket profile.
-pub fn nljn_cost(input: &JoinCostInput<'_>) -> Cost {
-    let (so, si) = input.scales();
-    let profile = bucket_join_profile(
-        input.outer_hist,
-        input.inner_hist,
-        so,
-        si,
-        input.inner.pages,
-    );
-    // Pages of the inner actually faulted per outer pass, bounded by buffer.
-    let hot = input.inner.pages.min(input.buffer_pages);
-    let cold_fraction = ((input.inner.pages - hot) / input.inner.pages.max(1.0)).max(0.0);
-    let io = profile.inner_pages_touched * cold_fraction + input.inner.pages.min(hot);
-    let cpu = input.outer.rows * CPU_PROBE + profile.matches * CPU_ROW + input.out_rows * CPU_ROW;
-    input
-        .outer_cost
-        .plus(&input.inner_cost)
-        .plus(&Cost { io, cpu, comm: 0.0 })
-}
-
-/// Sort-merge join: both inputs already ordered (enforcers are costed
-/// separately); merge CPU plus duplicate-group cross products plus run
-/// modeling.
-///
-/// MGJN costing is deliberately the heaviest per-plan computation: beyond
-/// the match profile it walks both histograms again to model duplicate-run
-/// lengths and the probability of a run spanning page boundaries (one
-/// `powf` per bucket per side). This mirrors DB2, where generating an MGJN
-/// plan costs the most of the three methods (the paper's fitted serial
-/// ratio is `C_m : C_n : C_h = 5 : 2 : 4`, §4) — and is what makes Fig. 2's
-/// MGJN slice the largest.
-pub fn mgjn_cost(input: &JoinCostInput<'_>) -> Cost {
-    let (so, si) = input.scales();
-    let profile = bucket_join_profile(
-        input.outer_hist,
-        input.inner_hist,
-        so,
-        si,
-        input.inner.pages,
-    );
-    let cpu = (input.outer.rows + input.inner.rows) * CPU_CMP
-        + profile.matches * CPU_ROW
-        + input.out_rows * CPU_ROW;
-    // Duplicate-run modeling: expected run length per bucket and the chance
-    // a run crosses a page boundary, forcing the merge to re-pin pages.
-    let mut rerun_io = 0.0;
-    for (hist, stats, scale) in [
-        (input.outer_hist, &input.outer, so),
-        (input.inner_hist, &input.inner, si),
-    ] {
-        let rows_per_page = (stats.rows / stats.pages.max(1.0)).max(1.0);
-        for bkt in hist.buckets() {
-            let rows = bkt.rows * scale;
-            if rows <= 0.0 {
-                continue;
-            }
-            let run = (rows / (bkt.ndv * scale.min(1.0)).max(1.0)).max(1.0);
-            // P(run spans a page boundary) = 1 - (1 - run/rows_per_page)^+,
-            // smoothed through the same exponential family as Yao.
-            let span_p = 1.0 - (1.0 - (run / rows_per_page).min(1.0)).powf(rows / run);
-            rerun_io += span_p * (rows / rows_per_page) * 0.01;
-        }
+    /// The match profile of this join's inputs: one histogram walk.
+    fn profile(&self) -> JoinProfile {
+        let (so, si) = self.scales();
+        bucket_join_profile(self.outer_hist, self.inner_hist, so, si, self.inner.pages)
     }
-    rerun_io = rerun_io.min(input.inner.pages + input.outer.pages);
-    // Merge rewind modeling: when the outer has duplicate join keys, the
-    // merge backs up over the inner's matching group; expected rewind CPU is
-    // derived per aligned bucket pair (a third histogram pass).
-    let mut rewind_cpu = 0.0;
-    {
-        let (a, b) = (input.outer_hist.buckets(), input.inner_hist.buckets());
+
+    /// MGJN's plan-independent terms `(rerun_io, rewind_cpu)`: one more walk
+    /// per side for duplicate runs, and a third aligned walk for rewinds.
+    fn mgjn_terms(&self) -> (f64, f64) {
+        let (so, si) = self.scales();
+        // Duplicate-run modeling: expected run length per bucket and the chance
+        // a run crosses a page boundary, forcing the merge to re-pin pages.
+        let mut rerun_io = 0.0;
+        for (hist, stats, scale) in [
+            (self.outer_hist, &self.outer, so),
+            (self.inner_hist, &self.inner, si),
+        ] {
+            let rows_per_page = (stats.rows / stats.pages.max(1.0)).max(1.0);
+            for bkt in hist.buckets() {
+                let rows = bkt.rows * scale;
+                if rows <= 0.0 {
+                    continue;
+                }
+                let run = (rows / (bkt.ndv * scale.min(1.0)).max(1.0)).max(1.0);
+                // P(run spans a page boundary) = 1 - (1 - run/rows_per_page)^+,
+                // smoothed through the same exponential family as Yao.
+                let span_p = 1.0 - (1.0 - (run / rows_per_page).min(1.0)).powf(rows / run);
+                rerun_io += span_p * (rows / rows_per_page) * 0.01;
+            }
+        }
+        rerun_io = rerun_io.min(self.inner.pages + self.outer.pages);
+        // Merge rewind modeling: when the outer has duplicate join keys, the
+        // merge backs up over the inner's matching group; expected rewind CPU is
+        // derived per aligned bucket pair (a third histogram pass).
+        let mut rewind_cpu = 0.0;
+        let (a, b) = (self.outer_hist.buckets(), self.inner_hist.buckets());
         let (mut i, mut j) = (0, 0);
         while i < a.len() && j < b.len() {
             let (ba, bb) = (&a[i], &b[j]);
@@ -352,7 +324,53 @@ pub fn mgjn_cost(input: &JoinCostInput<'_>) -> Cost {
                 j += 1;
             }
         }
+        (rerun_io, rewind_cpu)
     }
+}
+
+/// Nested-loops join: outer once; inner probed per outer row with
+/// buffer-locality credit from the bucket profile.
+pub fn nljn_cost(input: &JoinCostInput<'_>) -> Cost {
+    nljn_from(input, &input.profile())
+}
+
+/// [`nljn_cost`] from an already-walked profile.
+fn nljn_from(input: &JoinCostInput<'_>, profile: &JoinProfile) -> Cost {
+    // Pages of the inner actually faulted per outer pass, bounded by buffer.
+    let hot = input.inner.pages.min(input.buffer_pages);
+    let cold_fraction = ((input.inner.pages - hot) / input.inner.pages.max(1.0)).max(0.0);
+    let io = profile.inner_pages_touched * cold_fraction + input.inner.pages.min(hot);
+    let cpu = input.outer.rows * CPU_PROBE + profile.matches * CPU_ROW + input.out_rows * CPU_ROW;
+    input
+        .outer_cost
+        .plus(&input.inner_cost)
+        .plus(&Cost { io, cpu, comm: 0.0 })
+}
+
+/// Sort-merge join: both inputs already ordered (enforcers are costed
+/// separately); merge CPU plus duplicate-group cross products plus run
+/// modeling.
+///
+/// MGJN costing is deliberately the heaviest computation: beyond the match
+/// profile it walks both histograms again to model duplicate-run lengths
+/// and the probability of a run spanning page boundaries (one `powf` per
+/// bucket per side, `JoinCostInput::mgjn_terms`). This mirrors DB2, where
+/// generating an MGJN plan costs the most of the three methods (the paper's
+/// fitted serial ratio is `C_m : C_n : C_h = 5 : 2 : 4`, §4) — and is what
+/// makes Fig. 2's MGJN slice the largest.
+pub fn mgjn_cost(input: &JoinCostInput<'_>) -> Cost {
+    mgjn_from(input, &input.profile(), input.mgjn_terms())
+}
+
+/// [`mgjn_cost`] from an already-walked profile and MGJN terms.
+fn mgjn_from(
+    input: &JoinCostInput<'_>,
+    profile: &JoinProfile,
+    (rerun_io, rewind_cpu): (f64, f64),
+) -> Cost {
+    let cpu = (input.outer.rows + input.inner.rows) * CPU_CMP
+        + profile.matches * CPU_ROW
+        + input.out_rows * CPU_ROW;
     input.outer_cost.plus(&input.inner_cost).plus(&Cost {
         io: rerun_io,
         cpu: cpu + rewind_cpu,
@@ -363,14 +381,11 @@ pub fn mgjn_cost(input: &JoinCostInput<'_>) -> Cost {
 /// Hash join: build the inner, probe with the outer; grace partitioning I/O
 /// when the build side exceeds the buffer, with bucket-skew overflow.
 pub fn hsjn_cost(input: &JoinCostInput<'_>) -> Cost {
-    let (so, si) = input.scales();
-    let profile = bucket_join_profile(
-        input.outer_hist,
-        input.inner_hist,
-        so,
-        si,
-        input.inner.pages,
-    );
+    hsjn_from(input, &input.profile())
+}
+
+/// [`hsjn_cost`] from an already-walked profile.
+fn hsjn_from(input: &JoinCostInput<'_>, profile: &JoinProfile) -> Cost {
     let cpu = input.inner.rows * CPU_HASH
         + input.outer.rows * CPU_PROBE
         + profile.matches * CPU_ROW
@@ -386,6 +401,72 @@ pub fn hsjn_cost(input: &JoinCostInput<'_>) -> Cost {
         .outer_cost
         .plus(&input.inner_cost)
         .plus(&Cost { io, cpu, comm: 0.0 })
+}
+
+/// A join plan's cost by `method`, walking the histograms afresh.
+pub fn join_cost(method: JoinMethod, input: &JoinCostInput<'_>) -> Cost {
+    match method {
+        JoinMethod::Nljn => nljn_cost(input),
+        JoinMethod::Mgjn => mgjn_cost(input),
+        JoinMethod::Hsjn => hsjn_cost(input),
+    }
+}
+
+/// The plan-independent terms of one oriented join, keyed by the raw bits
+/// of its `(outer, inner)` input stats.
+///
+/// Scope one cache to one orientation ([`clear`](Self::clear) between
+/// them): the histograms are not part of the key. An orientation's plans
+/// mostly share one stats pair; applied expensive predicates shrink an
+/// input's rows and a shipped input is priced at its remote site's stats,
+/// so each of those is a key of its own.
+#[derive(Debug, Default)]
+pub struct JoinTermCache {
+    entries: Vec<JoinTerms>,
+}
+
+/// One input-stats pair's terms: the profile, and MGJN's once asked for.
+#[derive(Debug)]
+struct JoinTerms {
+    key: [u64; 6],
+    profile: JoinProfile,
+    mgjn: Option<(f64, f64)>,
+}
+
+impl JoinTermCache {
+    /// Forget every entry (a new orientation begins).
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
+    /// A join plan's cost by `method`, walking the histograms only for an
+    /// input-stats pair (and, for MGJN, a term) not seen before. Equal in
+    /// every bit to [`join_cost`].
+    pub fn cost(&mut self, method: JoinMethod, input: &JoinCostInput<'_>) -> Cost {
+        let (o, i) = (&input.outer, &input.inner);
+        let key = [o.rows, o.pages, o.row_bytes, i.rows, i.pages, i.row_bytes].map(f64::to_bits);
+        let at = match self.entries.iter().position(|e| e.key == key) {
+            Some(at) => at,
+            None => {
+                self.entries.push(JoinTerms {
+                    key,
+                    profile: input.profile(),
+                    mgjn: None,
+                });
+                self.entries.len() - 1
+            }
+        };
+        let JoinTerms { profile, mgjn, .. } = &mut self.entries[at];
+        match method {
+            JoinMethod::Nljn => nljn_from(input, profile),
+            JoinMethod::Mgjn => mgjn_from(
+                input,
+                profile,
+                *mgjn.get_or_insert_with(|| input.mgjn_terms()),
+            ),
+            JoinMethod::Hsjn => hsjn_from(input, profile),
+        }
+    }
 }
 
 /// Cost of hash-repartitioning a stream across `nodes` nodes (each row moves
@@ -632,5 +713,31 @@ mod tests {
             c_dup.cpu,
             c_uniq.cpu
         );
+    }
+
+    #[test]
+    fn cached_terms_price_every_plan_bit_identically() {
+        let (ho, hi) = (hist(50_000.0, 500.0), hist(20_000.0, 800.0));
+        let mut cache = JoinTermCache::default();
+        // Two stats pairs in one orientation (say, a masked outer), each
+        // asked for twice and for every method in turn.
+        for _ in 0..2 {
+            for (ro, out) in [(50_000.0, 20_000.0), (5_000.0, 2_000.0)] {
+                let mut plan = input(&ho, &hi, ro, 20_000.0);
+                plan.out_rows = out;
+                plan.outer_cost = Cost {
+                    io: ro / 100.0,
+                    cpu: 3.0,
+                    comm: 0.0,
+                };
+                for m in JoinMethod::ALL {
+                    let fresh = join_cost(m, &plan);
+                    assert_eq!(cache.cost(m, &plan), fresh, "{m:?}");
+                }
+            }
+        }
+        assert_eq!(cache.entries.len(), 2, "one walk per stats pair");
+        cache.clear();
+        assert!(cache.entries.is_empty());
     }
 }

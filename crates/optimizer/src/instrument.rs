@@ -75,6 +75,15 @@ pub struct PhaseTimes {
 }
 
 impl PhaseTimes {
+    /// Per-method plan-generation time.
+    pub fn method(&self, m: JoinMethod) -> Duration {
+        match m {
+            JoinMethod::Nljn => self.nljn,
+            JoinMethod::Mgjn => self.mgjn,
+            JoinMethod::Hsjn => self.hsjn,
+        }
+    }
+
     /// Per-method plan-generation bucket.
     pub fn method_mut(&mut self, m: JoinMethod) -> &mut Duration {
         match m {

@@ -29,12 +29,15 @@
 //!    contents are identical at any thread count.
 //! 6. Phase buckets are read off `Instant`s (`PhaseClock`); this module opens
 //!    no spans.
+//! 7. A join's plan-independent cost terms are computed once per
+//!    (orientation, input stats) in [`cost::JoinTermCache`]; every plan
+//!    prices only its own arithmetic, bit-identical to a fresh `*_cost`.
 
 use crate::cardinality::column_histogram;
 use crate::context::OptContext;
 use crate::cost::{
-    self, broadcast_cost, hsjn_cost, index_scan, mgjn_cost, nljn_cost, repartition_cost, sort_cost,
-    table_scan, Cost, JoinCostInput, StreamStats,
+    self, broadcast_cost, index_scan, repartition_cost, sort_cost, table_scan, Cost, JoinCostInput,
+    JoinTermCache, StreamStats,
 };
 use crate::enumerator::{JoinSite, JoinVisitor};
 use crate::instrument::{CompileStats, PhaseClock};
@@ -68,6 +71,8 @@ pub struct RealPlanGen {
     pub stats: CompileStats,
     /// Pilot-pass cost bound (§6.1), if enabled.
     pub pilot_bound: Option<f64>,
+    /// The current orientation's plan-independent join cost terms.
+    terms: JoinTermCache,
     /// While a parallel level runs: the frozen main arena the workers fork.
     level_base: Option<Arc<PlanArena>>,
     /// After a level merge: first provisional id of the workers' fork tails.
@@ -129,6 +134,7 @@ impl RealPlanGen {
             arena: PlanArena::new(),
             stats: CompileStats::default(),
             pilot_bound,
+            terms: JoinTermCache::default(),
             level_base: None,
             level_fork_base: 0,
             level_deltas: Vec::new(),
@@ -469,10 +475,16 @@ impl RealPlanGen {
             buffer_pages: ctx.config.buffer_pages,
             out_rows: out_stats.rows,
         };
-        let (c, pipelinable) = match method {
-            JoinMethod::Nljn => (nljn_cost(&input), o_pipe),
-            JoinMethod::Mgjn => (mgjn_cost(&input), o_pipe && i_pipe),
-            JoinMethod::Hsjn => (hsjn_cost(&input), false),
+        let c = self.terms.cost(method, &input);
+        debug_assert_eq!(
+            c.total().to_bits(),
+            cost::join_cost(method, &input).total().to_bits(),
+            "cached join terms priced a plan otherwise than a fresh walk"
+        );
+        let pipelinable = match method {
+            JoinMethod::Nljn => o_pipe,
+            JoinMethod::Mgjn => o_pipe && i_pipe,
+            JoinMethod::Hsjn => false,
         };
         *self.stats.plans_generated.get_mut(method) += 1;
         let cand = Candidate {
@@ -825,6 +837,7 @@ impl JoinVisitor for RealPlanGen {
                 continue; // pilot pruning may have emptied an input
             }
             let hists = join_histograms(ctx, &site.preds, oj.o_set, oj.i_set);
+            self.terms.clear();
             let pvs = if parallel {
                 partition_alternatives(
                     &self.arena,

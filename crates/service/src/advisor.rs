@@ -63,6 +63,9 @@ pub struct Advice {
     /// them with the observed compile time and feed the online regressor.
     /// Zero in degraded mode (no estimator ran).
     pub counts: PerMethod,
+    /// Estimated join orientations at the configured level, the join column
+    /// paired with `counts`. Zero in degraded mode.
+    pub joins: u64,
     /// Error margin the budget fit used: a level fit only if
     /// `estimate · (1 + error_margin) ≤ budget`. Widens with drift.
     pub error_margin: f64,
@@ -123,6 +126,7 @@ impl LevelAdvisor {
             choice: LevelChoice::Greedy { by_mop: false },
             levels: Vec::new(),
             counts: PerMethod::default(),
+            joins: 0,
             error_margin: 0.0,
             degraded: true,
         }
@@ -135,7 +139,7 @@ impl LevelAdvisor {
     }
 
     /// Like [`advise`](Self::advise), but pricing the (model-free) per-level
-    /// plan counts with a caller-supplied `model` — typically the
+    /// plan and join counts with a caller-supplied `model` — typically the
     /// online-recalibrated one — and fitting levels into the budget with an
     /// `error_margin`: a level fits only if `estimate · (1 + margin) ≤
     /// budget`. A drifting model gets wide error bars, so admission
@@ -151,11 +155,14 @@ impl LevelAdvisor {
         let mut by_level = self.cote.estimate_level_counts(catalog, query)?;
         // Highest limit first for reporting; estimate_level_counts puts the
         // configured level first already, lower limits after.
-        by_level.sort_by_key(|&(limit, _)| std::cmp::Reverse(limit));
-        let counts = by_level.first().map(|&(_, c)| c).unwrap_or_default();
+        by_level.sort_by_key(|&(limit, ..)| std::cmp::Reverse(limit));
+        let (counts, joins) = by_level
+            .first()
+            .map(|&(_, c, j)| (c, j))
+            .unwrap_or_default();
         let levels: Vec<(usize, f64)> = by_level
             .into_iter()
-            .map(|(limit, c)| (limit, model.predict_seconds(&c)))
+            .map(|(limit, c, j)| (limit, model.predict(&c, j)))
             .collect();
         let budget = self.budget(class);
         let margin = error_margin.max(0.0);
@@ -183,6 +190,7 @@ impl LevelAdvisor {
                             choice: LevelChoice::Greedy { by_mop: true },
                             levels,
                             counts,
+                            joins,
                             error_margin: margin,
                             degraded: false,
                         });
@@ -200,6 +208,7 @@ impl LevelAdvisor {
             choice,
             levels,
             counts,
+            joins,
             error_margin: margin,
             degraded: false,
         })
@@ -256,6 +265,7 @@ mod tests {
             c_nljn: 1e-6,
             c_mgjn: 1e-6,
             c_hsjn: 1e-6,
+            c_join: 0.0,
             intercept: 0.0,
         };
         Cote::new(OptimizerConfig::high(Mode::Serial), model)
@@ -388,6 +398,7 @@ mod tests {
             c_nljn: 2e-6,
             c_mgjn: 2e-6,
             c_hsjn: 2e-6,
+            c_join: 0.0,
             intercept: 0.0,
         };
         let base = advisor.advise(&cat, &q, QueryClass::Batch).unwrap();
@@ -399,6 +410,28 @@ mod tests {
             assert!((s.1 - 2.0 * b.1).abs() < 1e-12, "2x model, 2x estimate");
         }
         assert_eq!(base.counts, scaled.counts, "counts are model-free");
+    }
+
+    #[test]
+    fn each_level_is_priced_with_its_own_join_count() {
+        let (cat, q) = setup();
+        let advisor = LevelAdvisor::new(unit_cote(), &cfg());
+        let joins_only = TimeModel {
+            c_nljn: 0.0,
+            c_mgjn: 0.0,
+            c_hsjn: 0.0,
+            c_join: 1e-6,
+            intercept: 0.0,
+        };
+        let a = advisor
+            .advise_with(&cat, &q, QueryClass::Batch, &joins_only, 0.0)
+            .unwrap();
+        assert!(a.joins > 0);
+        assert!((a.levels[0].1 - a.joins as f64 * 1e-6).abs() < 1e-15);
+        // A lower limit admits fewer orientations, so it prices lower.
+        for pair in a.levels.windows(2) {
+            assert!(pair[1].1 < pair[0].1, "{:?}", a.levels);
+        }
     }
 
     #[test]

@@ -99,6 +99,7 @@ mod tests {
             },
             levels: vec![(level, level as f64)],
             counts: Default::default(),
+            joins: 0,
             error_margin: 0.0,
             degraded: false,
         }

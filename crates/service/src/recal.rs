@@ -3,7 +3,7 @@
 //! [`Recalibrator`] ties the pieces together on the serving path:
 //!
 //! * a [`cote::OnlineRegressor`] (RLS + EWMA forgetting, seeded from the
-//!   static calibration) absorbing `(plan counts, observed seconds)`
+//!   static calibration) absorbing `(plan counts, joins, observed seconds)`
 //!   completion reports,
 //! * a [`cote_obs::ResidualTracker`] recording observed-vs-predicted
 //!   residuals and raising the drift alarm,
@@ -34,7 +34,7 @@ pub struct Recalibrator {
     observations: Arc<Counter>,
     error_margin_milli: Arc<Gauge>,
     online_active: Arc<Gauge>,
-    coeff_gauges: [Arc<Gauge>; 4],
+    coeff_gauges: [Arc<Gauge>; 5],
 }
 
 impl Recalibrator {
@@ -71,6 +71,10 @@ impl Recalibrator {
                 "cote_service_online_intercept_picoseconds",
                 "Online model: fixed per-statement overhead, in ps.",
             ),
+            registry.gauge_with_help(
+                "cote_service_online_c_join_picoseconds",
+                "Online model: seconds per enumerated join orientation, in ps.",
+            ),
         ];
         let recal = Self {
             regressor: Mutex::new(OnlineRegressor::new(&static_model, cfg.online.clone())),
@@ -92,6 +96,7 @@ impl Recalibrator {
         self.coeff_gauges[1].set((model.c_mgjn * PICOS) as i64);
         self.coeff_gauges[2].set((model.c_hsjn * PICOS) as i64);
         self.coeff_gauges[3].set((model.intercept * PICOS) as i64);
+        self.coeff_gauges[4].set((model.c_join * PICOS) as i64);
         self.error_margin_milli
             .set((self.error_margin() * 1000.0) as i64);
     }
@@ -140,16 +145,17 @@ impl Recalibrator {
         self.observations.get()
     }
 
-    /// Absorb one completed optimization: `counts` estimated for the
-    /// statement, `observed_seconds` its real compile self-time. Updates
-    /// the regressor, the residual telemetry, and the published gauges.
-    pub fn observe(&self, counts: &PerMethod, observed_seconds: f64) {
+    /// Absorb one completed optimization: `counts` and `joins` estimated
+    /// for the statement, `observed_seconds` its real compile self-time.
+    /// Updates the regressor, the residual telemetry, and the published
+    /// gauges.
+    pub fn observe(&self, counts: &PerMethod, joins: u64, observed_seconds: f64) {
         if !self.cfg.enabled || !observed_seconds.is_finite() || observed_seconds <= 0.0 {
             return;
         }
         let (predicted, model, online) = {
             let mut reg = self.regressor.lock().unwrap();
-            let predicted = reg.observe(counts, observed_seconds);
+            let predicted = reg.observe(counts, joins, observed_seconds);
             (predicted, reg.model(), !reg.warming_up())
         };
         self.tracker.observe(predicted, observed_seconds);
@@ -181,8 +187,8 @@ impl Recalibrator {
             if self.drift_active() { " (ALARM)" } else { "" },
             self.error_margin() * 100.0,
         ) + &format!(
-            "       c_nljn {:.3e} c_mgjn {:.3e} c_hsjn {:.3e} intercept {:.3e}\n",
-            m.c_nljn, m.c_mgjn, m.c_hsjn, m.intercept
+            "       c_nljn {:.3e} c_mgjn {:.3e} c_hsjn {:.3e} c_join {:.3e} intercept {:.3e}\n",
+            m.c_nljn, m.c_mgjn, m.c_hsjn, m.c_join, m.intercept
         )
     }
 }
@@ -206,9 +212,13 @@ mod tests {
             c_nljn: 1e-6,
             c_mgjn: 1e-6,
             c_hsjn: 1e-6,
+            c_join: 2e-6,
             intercept: 0.0,
         }
     }
+
+    /// Join orientations paired with [`counts`].
+    const JOINS: u64 = 50;
 
     fn counts() -> PerMethod {
         PerMethod {
@@ -227,7 +237,7 @@ mod tests {
         };
         let recal = Recalibrator::new(model(), cfg, &r);
         for _ in 0..50 {
-            recal.observe(&counts(), 5.0);
+            recal.observe(&counts(), JOINS, 5.0);
         }
         assert_eq!(recal.observations(), 0);
         assert_eq!(recal.model(), model());
@@ -238,9 +248,9 @@ mod tests {
     fn healthy_traffic_keeps_the_base_margin() {
         let r = Registry::new();
         let recal = Recalibrator::new(model(), RecalConfig::default(), &r);
-        let truth = model().predict_seconds(&counts());
+        let truth = model().predict(&counts(), JOINS);
         for _ in 0..50 {
-            recal.observe(&counts(), truth);
+            recal.observe(&counts(), JOINS, truth);
         }
         assert_eq!(recal.observations(), 50);
         assert!(!recal.drift_active());
@@ -253,14 +263,14 @@ mod tests {
     fn drift_widens_margins_then_adaptation_recovers() {
         let r = Registry::new();
         let recal = Recalibrator::new(model(), RecalConfig::default(), &r);
-        let truth = model().predict_seconds(&counts());
+        let truth = model().predict(&counts(), JOINS);
         for _ in 0..20 {
-            recal.observe(&counts(), truth);
+            recal.observe(&counts(), JOINS, truth);
         }
         let healthy_margin = recal.error_margin();
         // Step change: the machine is suddenly 3x slower.
         for _ in 0..12 {
-            recal.observe(&counts(), 3.0 * truth);
+            recal.observe(&counts(), JOINS, 3.0 * truth);
         }
         assert!(recal.drift_active(), "score {}", recal.drift_score());
         assert!(
@@ -272,12 +282,12 @@ mod tests {
         // The regressor adapts to the new truth; residuals shrink; the
         // detector fades back; margins recover.
         for _ in 0..400 {
-            recal.observe(&counts(), 3.0 * truth);
+            recal.observe(&counts(), JOINS, 3.0 * truth);
         }
         assert!(!recal.drift_active(), "score {}", recal.drift_score());
         assert!(recal.error_margin() < healthy_margin + 0.05);
         // And the model now predicts the drifted truth, not the seed.
-        let got = recal.model().predict_seconds(&counts());
+        let got = recal.model().predict(&counts(), JOINS);
         assert!(((got - 3.0 * truth) / (3.0 * truth)).abs() < 0.05, "{got}");
     }
 
@@ -285,9 +295,9 @@ mod tests {
     fn reset_drift_zeroes_the_gauges() {
         let r = Registry::new();
         let recal = Recalibrator::new(model(), RecalConfig::default(), &r);
-        let truth = model().predict_seconds(&counts());
+        let truth = model().predict(&counts(), JOINS);
         for _ in 0..30 {
-            recal.observe(&counts(), 4.0 * truth);
+            recal.observe(&counts(), JOINS, 4.0 * truth);
         }
         assert!(recal.drift_score() > 0.0);
         recal.reset_drift();
@@ -306,10 +316,14 @@ mod tests {
             r.gauge("cote_service_online_c_nljn_picoseconds").get(),
             1_000_000
         );
+        assert_eq!(
+            r.gauge("cote_service_online_c_join_picoseconds").get(),
+            2_000_000
+        );
         assert_eq!(r.gauge("cote_service_online_model_active").get(), 0);
-        let truth = model().predict_seconds(&counts());
+        let truth = model().predict(&counts(), JOINS);
         for _ in 0..100 {
-            recal.observe(&counts(), 2.0 * truth);
+            recal.observe(&counts(), JOINS, 2.0 * truth);
         }
         let c = r.gauge("cote_service_online_c_nljn_picoseconds").get();
         assert!(c > 1_200_000, "adapted upward: {c}");

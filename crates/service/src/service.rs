@@ -245,7 +245,9 @@ impl CoteService {
             return false;
         }
         let before = self.inner.recal.observations();
-        self.inner.recal.observe(&advice.counts, actual_seconds);
+        self.inner
+            .recal
+            .observe(&advice.counts, advice.joins, actual_seconds);
         self.inner.recal.observations() > before
     }
 
@@ -476,6 +478,7 @@ mod tests {
                 c_nljn: 1e-6,
                 c_mgjn: 1e-6,
                 c_hsjn: 1e-6,
+                c_join: 0.0,
                 intercept: 0.0,
             },
         )

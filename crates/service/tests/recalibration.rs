@@ -44,6 +44,7 @@ fn model() -> TimeModel {
         c_nljn: 1e-6,
         c_mgjn: 1e-6,
         c_hsjn: 1e-6,
+        c_join: 0.0,
         intercept: 0.0,
     }
 }
@@ -130,14 +131,15 @@ fn drift_widens_budgets_then_recovers() {
 
     // Phase 3 — re-convergence: the regressor adapts to the new truth, the
     // faded detector decays, the alarm clears, margins recover.
+    let q1_advice = match &r.decision {
+        Decision::Admitted { advice, .. } => advice,
+        other => panic!("{other:?}"),
+    };
     let q1_truth = 3.0
         * svc
             .recalibrator()
             .static_model()
-            .predict_seconds(&match &r.decision {
-                Decision::Admitted { advice, .. } => advice.counts,
-                other => panic!("{other:?}"),
-            });
+            .predict(&q1_advice.counts, q1_advice.joins);
     for _ in 0..400 {
         svc.report_outcome(&q0, 3.0 * truth);
         svc.report_outcome(&q1, q1_truth);
@@ -162,7 +164,10 @@ fn drift_widens_budgets_then_recovers() {
         1
     );
     // The online model now predicts the drifted reality.
-    let adapted = svc.recalibrator().model().predict_seconds(&probe.counts);
+    let adapted = svc
+        .recalibrator()
+        .model()
+        .predict(&probe.counts, probe.detail.totals.joins);
     assert!(
         ((adapted - 3.0 * truth) / (3.0 * truth)).abs() < 0.10,
         "adapted {adapted}, want {}",

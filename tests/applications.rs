@@ -172,6 +172,7 @@ fn cote_seconds_scale_with_counts() {
             c_nljn: 1.0,
             c_mgjn: 1.0,
             c_hsjn: 1.0,
+            c_join: 0.0,
             intercept: 0.0,
         },
     );
@@ -181,6 +182,7 @@ fn cote_seconds_scale_with_counts() {
             c_nljn: 2.0,
             c_mgjn: 2.0,
             c_hsjn: 2.0,
+            c_join: 0.0,
             intercept: 0.0,
         },
     );

@@ -85,6 +85,7 @@ fn estimator_layout_matches_pre_refactor_goldens() {
         c_nljn: 2e-6,
         c_mgjn: 5e-6,
         c_hsjn: 4e-6,
+        c_join: 0.0,
         intercept: 1e-3,
     };
     let rows: Vec<Json> = plain_specs()

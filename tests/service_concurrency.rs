@@ -104,6 +104,7 @@ fn estimate_levels_is_monotone_in_the_limit() {
             c_nljn: 1e-6,
             c_mgjn: 1e-6,
             c_hsjn: 1e-6,
+            c_join: 0.0,
             intercept: 0.0,
         },
     )
@@ -139,6 +140,7 @@ fn concurrent_submissions_match_serial_estimates() {
         c_nljn: 1e-6,
         c_mgjn: 1e-6,
         c_hsjn: 1e-6,
+        c_join: 0.0,
         intercept: 0.0,
     };
     let mk_cote = || Cote::new(OptimizerConfig::high(Mode::Serial), model.clone());

@@ -114,6 +114,7 @@ fn literal_variants_share_cache_entries_across_both_layers() {
         choice: LevelChoice::Greedy { by_mop: false },
         levels: vec![],
         counts: Default::default(),
+        joins: 0,
         error_margin: 0.0,
         degraded: false,
     };
